@@ -21,6 +21,27 @@ var seedStabilitySpecs = []string{
 	"simple:rate=0.005,seed=7",
 	"bernoulli:rate=0.005,seed=7",
 	"bss:interval=256,L=4,eps=1.0",
+	// The batch-kernel specs: every technique under the parameters the
+	// batch shapes stress, including the interval-1 and rate-1 edges.
+	"systematic:interval=37,offset=5",
+	"systematic:interval=1",
+	"stratified:interval=41,seed=11",
+	"stratified:interval=1,seed=3",
+	"simple:n=500,seed=12",
+	"simple:rate=0.01,seed=13",
+	"bernoulli:rate=0.02,seed=14",
+	"bernoulli:rate=1,seed=2",
+	// BSS variants: adaptive, static threshold, long warm-up, burst
+	// chasing, interval 1 (no room for probes), colliding spread probes
+	// and chase probes truncated at the interval end.
+	"bss:interval=40,L=6,eps=1.0",
+	"bss:interval=25,L=4,ath=5",
+	"bss:interval=100,L=12,eps=1.3,pre=20",
+	"bss:interval=50,L=5,eps=1.1,placement=chase",
+	"bss:interval=1,L=4,eps=1.0",
+	"bss:interval=100,L=4,eps=1.0",
+	"bss:interval=3,L=5,ath=2",
+	"bss:interval=30,offset=7,L=40,ath=2,placement=chase",
 }
 
 // TestSeedStability is the repo's cross-version determinism anchor:
