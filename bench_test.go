@@ -112,6 +112,15 @@ func bssAblationTrace(b *testing.B) ([]float64, float64) {
 	return f, stats.Mean(f)
 }
 
+// collectBSS runs a fresh BSS kernel over the whole of f.
+func collectBSS(cfg core.BSS, f []float64) ([]core.Sample, error) {
+	s, err := cfg.Stream()
+	if err != nil {
+		return nil, err
+	}
+	return core.Collect(s, f)
+}
+
 func BenchmarkBSSDesignLTuned(b *testing.B) {
 	f, mean := bssAblationTrace(b)
 	design, err := core.NewBSSDesign(1.5)
@@ -125,7 +134,7 @@ func BenchmarkBSSDesignLTuned(b *testing.B) {
 	cfg := core.BSS{Interval: 1000, L: int(l), Epsilon: 1.0}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		samples, err := cfg.Sample(f)
+		samples, err := collectBSS(cfg, f)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -146,7 +155,7 @@ func BenchmarkBSSDesignEpsTuned(b *testing.B) {
 	cfg := core.BSS{Interval: 1000, L: 10, Epsilon: eps}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		samples, err := cfg.Sample(f)
+		samples, err := collectBSS(cfg, f)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -176,13 +185,11 @@ func BenchmarkAvgVarianceInstances(b *testing.B) {
 	}
 }
 
-// --- Streaming engine vs batch adapter, per technique -------------------
+// --- Core kernels and the public engine, per technique ----------------
 //
-// The batch path is Sample(f) — one call that internally drives the
-// streaming engine over the whole series. The stream path offers ticks
-// one by one the way a pipeline probe does, measuring the per-tick
-// overhead of the StreamSampler interface. These are the perf baseline
-// for the hot sampling path.
+// BenchmarkSamplerBatch runs each core kernel over a whole series with
+// core.Collect, the floor under the public engine's per-tick and batch
+// ingest costs below.
 
 // samplerBenchSpecs names one spec per technique at a 1e-3-ish rate.
 var samplerBenchSpecs = []struct{ name, spec string }{
@@ -207,43 +214,13 @@ func BenchmarkSamplerBatch(b *testing.B) {
 	f := samplerBenchTrace()
 	for _, tc := range samplerBenchSpecs {
 		b.Run(tc.name, func(b *testing.B) {
-			s, err := core.Lookup(tc.spec)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := s.Sample(f); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-func BenchmarkSamplerStream(b *testing.B) {
-	f := samplerBenchTrace()
-	for _, tc := range samplerBenchSpecs {
-		b.Run(tc.name, func(b *testing.B) {
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				eng, err := core.LookupStream(tc.spec)
+				s, err := core.Lookup(tc.spec)
 				if err != nil {
 					b.Fatal(err)
 				}
-				kept := 0
-				for j, v := range f {
-					if _, ok := eng.Offer(j, v); ok {
-						kept++
-					}
-				}
-				if tail, err := eng.Finish(); err != nil {
+				if _, err := core.Collect(s, f); err != nil {
 					b.Fatal(err)
-				} else {
-					kept += len(tail)
-				}
-				if kept == 0 {
-					b.Fatal("kept no samples")
 				}
 			}
 		})
@@ -262,12 +239,12 @@ func BenchmarkRegistryLookup(b *testing.B) {
 
 // --- Public sampling API ------------------------------------------------
 //
-// The public engine adds per-tick locking (for concurrent Snapshot) on
-// top of the raw core StreamSampler; these benchmarks track that tax and
-// the cost of live observation itself.
+// The public engine adds locking (for concurrent Snapshot) on top of the
+// raw core StreamSampler; these benchmarks track that tax and the cost
+// of live observation itself.
 
-// BenchmarkPublicEngineStream is the public-API counterpart of
-// BenchmarkSamplerStream: the per-tick cost a pipeline probe pays.
+// BenchmarkPublicEngineStream is the per-tick cost a pipeline probe
+// pays: one Offer, a one-tick batch, per tick.
 func BenchmarkPublicEngineStream(b *testing.B) {
 	f := samplerBenchTrace()
 	for _, tc := range samplerBenchSpecs {

@@ -55,8 +55,8 @@
 // (the three classic sampling techniques, Biased Systematic Sampling,
 // the SNC of Theorem 1, the average-variance theory of Theorem 2 and the
 // full BSS parameter design) is in internal/core, where every technique
-// is a streaming StreamSampler state machine behind a spec-string
-// registry and the batch Sampler interface is a thin adapter over it;
+// is one StreamSampler state machine — a skip-based batch kernel —
+// behind a spec-string registry, and Collect runs one over a series;
 // the substrates it stands on — FFT/wavelets (internal/dsp), statistics
 // (internal/stats), heavy-tailed distributions (internal/dist),
 // long-range dependence and Hurst estimation (internal/lrd), traffic

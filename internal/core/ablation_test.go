@@ -15,7 +15,7 @@ func TestPlacementString(t *testing.T) {
 
 func TestPlacementValidation(t *testing.T) {
 	b := BSS{Interval: 10, L: 2, Epsilon: 1, Placement: Placement(9)}
-	if _, err := b.Sample(seq(100)); err == nil {
+	if _, err := sampleOf(b, seq(100)); err == nil {
 		t.Error("expected error for unknown placement")
 	}
 }
@@ -48,7 +48,7 @@ func TestProbesTruncatedAtSeriesEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := b.Sample(f)
+	got, err := sampleOf(b, f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,11 +108,11 @@ func TestPlacementAblationChaseQualifiesMore(t *testing.T) {
 	spread := BSS{Interval: 200, L: 8, Epsilon: 1.0}
 	chase := spread
 	chase.Placement = PlacementChase
-	sSamples, err := spread.Sample(f)
+	sSamples, err := sampleOf(spread, f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cSamples, err := chase.Sample(f)
+	cSamples, err := sampleOf(chase, f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestPlacementAblationChaseQualifiesMore(t *testing.T) {
 	}
 	// Both estimates sit above the plain systematic one (qualified samples
 	// only add mass above the threshold).
-	sys, err := (Systematic{Interval: 200}).Sample(f)
+	sys, err := sampleOf(Systematic{Interval: 200}, f)
 	if err != nil {
 		t.Fatal(err)
 	}

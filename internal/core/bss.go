@@ -117,20 +117,17 @@ func (b BSS) probeOffsets(i int, dst []int) []int {
 	return dst
 }
 
-// Name implements Sampler.
+// Name identifies the technique.
 func (b BSS) Name() string { return "bss" }
 
-// Stream implements Streamer.
+// Stream validates the configuration and returns a fresh kernel.
 func (b BSS) Stream() (StreamSampler, error) { return NewStreamBSS(b) }
 
-// Sample implements Sampler. The returned slice holds base samples
-// (Qualified=false) and kept extra samples (Qualified=true) in index
-// order.
-func (b BSS) Sample(f []float64) ([]Sample, error) { return sampleViaStream(b, f) }
-
-// StreamBSS is the online form of BSS for router-style deployment: the
-// BSS streaming state machine behind both the batch Sample adapter and
-// the pipeline probes. It implements StreamSampler.
+// StreamBSS is the BSS state machine, behind Collect, the sampling
+// engine and the pipeline probes. Base samples (Qualified=false) are
+// emitted unconditionally; extra probes are emitted, Qualified=true,
+// only when they exceed the threshold in force at the triggering base
+// sample.
 //
 // The zero value is not usable; construct with NewStreamBSS.
 type StreamBSS struct {
@@ -141,7 +138,8 @@ type StreamBSS struct {
 	baseSeen int
 	ath      float64
 	armed    bool  // adaptive threshold active
-	extras   []int // pending extra-probe ticks (ascending)
+	extras   []int // extra-probe ticks of the current interval (ascending)
+	cur      int   // extras[cur:] are still pending
 }
 
 // NewStreamBSS validates cfg and returns a streaming sampler.
@@ -158,41 +156,59 @@ func NewStreamBSS(cfg BSS) (*StreamBSS, error) {
 // Name implements StreamSampler.
 func (s *StreamBSS) Name() string { return "bss" }
 
-// Offer implements StreamSampler. Base samples are emitted
-// unconditionally; extra probes are emitted only when they qualify
-// (exceed the threshold frozen at the triggering base sample).
-func (s *StreamBSS) Offer(index int, value float64) (Sample, bool) {
-	t := s.tick
-	s.tick++
-	if t == s.nextBase {
-		s.nextBase += s.cfg.Interval
-		s.extras = s.extras[:0]
-		s.running.Add(value)
-		s.baseSeen++
-		if s.cfg.Threshold == 0 {
-			if s.baseSeen >= s.cfg.PreSamples {
-				s.ath = s.cfg.Epsilon * s.running.Mean()
-				s.armed = true
-			}
+// OfferBatch implements StreamSampler. Only two kinds of tick carry a
+// decision — base ticks and pending extra probes — so the kernel jumps
+// to the nearer of the next of each and every other tick costs
+// nothing. The probe list is consumed through a cursor, so its capacity
+// carries over to the next trigger.
+//
+//samplelint:hotpath
+func (s *StreamBSS) OfferBatch(startIndex int, values []float64, dst []Sample) []Sample {
+	first, end := s.tick, s.tick+len(values)
+	for {
+		t, base := s.nextBase, true
+		if s.cur < len(s.extras) && s.extras[s.cur] < t {
+			t, base = s.extras[s.cur], false
 		}
-		if s.armed && value > s.ath {
-			s.extras = s.cfg.probeOffsets(t, s.extras)
+		if t >= end {
+			break
 		}
-		return Sample{Index: index, Value: value}, true
+		i := t - first
+		v := values[i]
+		if base {
+			s.takeBase(t, v)
+			dst = append(dst, Sample{Index: startIndex + i, Value: v})
+			continue
+		}
+		s.cur++
+		if v > s.ath {
+			s.running.Add(v)
+			dst = append(dst, Sample{Index: startIndex + i, Value: v, Qualified: true})
+		}
 	}
-	if len(s.extras) > 0 && s.extras[0] == t {
-		s.extras = s.extras[1:]
-		if value > s.ath {
-			s.running.Add(value)
-			return Sample{Index: index, Value: value, Qualified: true}, true
-		}
+	s.tick = end
+	return dst
+}
+
+// takeBase records the base sample v at tick t: it schedules the next
+// base tick, refreshes the adaptive threshold and, when v exceeds it,
+// lays out the interval's extra probes.
+func (s *StreamBSS) takeBase(t int, v float64) {
+	s.nextBase += s.cfg.Interval
+	s.running.Add(v)
+	s.baseSeen++
+	if s.cfg.Threshold == 0 && s.baseSeen >= s.cfg.PreSamples {
+		s.ath = s.cfg.Epsilon * s.running.Mean()
+		s.armed = true
 	}
-	return Sample{}, false
+	s.extras, s.cur = s.extras[:0], 0
+	if s.armed && v > s.ath {
+		s.extras = s.cfg.probeOffsets(t, s.extras)
+	}
 }
 
 // Finish implements StreamSampler. Pending extra probes past the end of
-// the stream are dropped, matching the batch rule that probes never land
-// outside the series.
+// the stream are dropped: probes never land outside the series.
 func (s *StreamBSS) Finish() ([]Sample, error) { return nil, nil }
 
 // Mean returns the running mean over all kept samples, the estimator the
@@ -210,9 +226,3 @@ func (s *StreamBSS) Threshold() float64 {
 	}
 	return s.ath
 }
-
-var (
-	_ Sampler       = BSS{}
-	_ Streamer      = BSS{}
-	_ StreamSampler = (*StreamBSS)(nil)
-)

@@ -24,10 +24,10 @@ func TestBSSValidation(t *testing.T) {
 	if _, err := NewBSSStatic(10, 5, -1); err == nil {
 		t.Error("expected error for negative threshold")
 	}
-	if _, err := (BSS{Interval: 10, L: 2, Epsilon: 1, Offset: 11}).Sample(seq(100)); err == nil {
+	if _, err := sampleOf(BSS{Interval: 10, L: 2, Epsilon: 1, Offset: 11}, seq(100)); err == nil {
 		t.Error("expected error for offset >= interval")
 	}
-	if _, err := (BSS{Interval: 10, L: 2, Epsilon: 1, PreSamples: -1}).Sample(seq(100)); err == nil {
+	if _, err := sampleOf(BSS{Interval: 10, L: 2, Epsilon: 1, PreSamples: -1}, seq(100)); err == nil {
 		t.Error("expected error for negative pre-samples")
 	}
 	b, err := NewBSS(10, 5, 1.0)
@@ -37,7 +37,7 @@ func TestBSSValidation(t *testing.T) {
 	if b.Name() != "bss" {
 		t.Errorf("name = %q", b.Name())
 	}
-	if _, err := b.Sample(nil); err == nil {
+	if _, err := sampleOf(b, nil); err == nil {
 		t.Error("expected error for empty series")
 	}
 }
@@ -57,7 +57,7 @@ func TestBSSStaticThresholdBehaviour(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := b.Sample(f)
+	got, err := sampleOf(b, f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestBSSIndicesSortedAndUnique(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := b.Sample(f)
+	got, err := sampleOf(b, f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestBSSImprovesHeavyTailedMeanEstimate(t *testing.T) {
 	for i := range f {
 		f[i] = p.Sample(rng)
 	}
-	real := MeanOf(mustSampleB(t, Systematic{Interval: 1}, f))
+	real := MeanOf(mustSample(t, Systematic{Interval: 1}, f))
 	const c = 1000
 	const instances = 25
 	// First measure the typical systematic bias, then design L for it
@@ -122,7 +122,7 @@ func TestBSSImprovesHeavyTailedMeanEstimate(t *testing.T) {
 	var sysErr float64
 	for off := 0; off < instances; off++ {
 		sys := Systematic{Interval: c, Offset: off * c / instances}
-		e := Eta(MeanOf(mustSampleB(t, sys, f)), real)
+		e := Eta(MeanOf(mustSample(t, sys, f)), real)
 		etas = append(etas, e)
 		sysErr += math.Abs(e)
 	}
@@ -148,7 +148,7 @@ func TestBSSImprovesHeavyTailedMeanEstimate(t *testing.T) {
 	var bssErr float64
 	for off := 0; off < instances; off++ {
 		b := BSS{Interval: c, Offset: off * c / instances, L: l, Epsilon: 1.0}
-		bssErr += math.Abs(Eta(MeanOf(mustSampleB(t, b, f)), real))
+		bssErr += math.Abs(Eta(MeanOf(mustSample(t, b, f)), real))
 	}
 	if bssErr >= sysErr {
 		t.Errorf("BSS total |eta| %g not better than systematic %g (L=%d)", bssErr, sysErr, l)
@@ -171,7 +171,7 @@ func TestBSSQualifiedFractionMatchesTheory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := b.Sample(f)
+	got, err := sampleOf(b, f)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,55 +194,12 @@ func TestBSSAdaptiveWarmup(t *testing.T) {
 	}
 	f[0] = 1e9 // base sample 0, during warm-up
 	b := BSS{Interval: 10, L: 5, Epsilon: 1, PreSamples: 5}
-	got, err := b.Sample(f)
+	got, err := sampleOf(b, f)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, qualified := CountKinds(got); qualified != 0 {
 		t.Errorf("warm-up trigger produced %d qualified samples", qualified)
-	}
-}
-
-func TestStreamBSSMatchesBatch(t *testing.T) {
-	rng := dist.NewRand(404)
-	p := dist.Pareto{Alpha: 1.4, Xm: 1}
-	f := make([]float64, 50000)
-	for i := range f {
-		f[i] = p.Sample(rng)
-	}
-	for _, cfg := range []BSS{
-		{Interval: 40, L: 6, Epsilon: 1.0},
-		{Interval: 25, L: 4, Threshold: 5},
-		{Interval: 100, L: 12, Epsilon: 1.3, PreSamples: 20},
-	} {
-		batch, err := cfg.Sample(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		stream, err := NewStreamBSS(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var online []Sample
-		for i, v := range f {
-			if smp, kept := stream.Offer(i, v); kept {
-				online = append(online, smp)
-			}
-		}
-		if len(online) != len(batch) {
-			t.Fatalf("cfg %+v: stream kept %d, batch kept %d", cfg, len(online), len(batch))
-		}
-		for i := range batch {
-			if online[i] != batch[i] {
-				t.Fatalf("cfg %+v: sample %d differs: %+v vs %+v", cfg, i, online[i], batch[i])
-			}
-		}
-		if stream.Kept() != len(batch) {
-			t.Errorf("Kept() = %d, want %d", stream.Kept(), len(batch))
-		}
-		if math.Abs(stream.Mean()-MeanOf(batch)) > 1e-9 {
-			t.Errorf("stream mean %g vs batch %g", stream.Mean(), MeanOf(batch))
-		}
 	}
 }
 
@@ -259,15 +216,6 @@ func TestStreamBSSValidation(t *testing.T) {
 	}
 }
 
-func mustSampleB(t *testing.T, s Sampler, f []float64) []Sample {
-	t.Helper()
-	got, err := s.Sample(f)
-	if err != nil {
-		t.Fatalf("%s: %v", s.Name(), err)
-	}
-	return got
-}
-
 func BenchmarkBSSSample1M(b *testing.B) {
 	rng := dist.NewRand(1)
 	p := dist.Pareto{Alpha: 1.3, Xm: 1}
@@ -278,7 +226,7 @@ func BenchmarkBSSSample1M(b *testing.B) {
 	cfg := BSS{Interval: 1000, L: 10, Epsilon: 1}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := cfg.Sample(f); err != nil {
+		if _, err := sampleOf(cfg, f); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -289,7 +237,7 @@ func BenchmarkSystematicSample1M(b *testing.B) {
 	s := Systematic{Interval: 1000}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := s.Sample(f); err != nil {
+		if _, err := sampleOf(s, f); err != nil {
 			b.Fatal(err)
 		}
 	}

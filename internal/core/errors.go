@@ -7,7 +7,7 @@ import (
 )
 
 // ErrUnknownTechnique reports a spec that names no registered sampling
-// technique. Errors returned by Lookup and LookupStream wrap it, so
+// technique. Errors returned by Lookup and Build wrap it, so
 // callers can branch with errors.Is.
 var ErrUnknownTechnique = errors.New("unknown sampling technique")
 

@@ -79,7 +79,7 @@ type InstanceStats struct {
 // factory and reduces them against the known real mean. The factory
 // receives the instance number (0..n-1) and typically varies the
 // systematic offset or the random seed.
-func RunInstances(f []float64, realMean float64, n int, factory func(instance int) (Sampler, error)) (InstanceStats, error) {
+func RunInstances(f []float64, realMean float64, n int, factory func(instance int) (StreamSampler, error)) (InstanceStats, error) {
 	if n < 1 {
 		return InstanceStats{}, fmt.Errorf("core: need at least one instance, got %d", n)
 	}
@@ -94,7 +94,7 @@ func RunInstances(f []float64, realMean float64, n int, factory func(instance in
 		if err != nil {
 			return InstanceStats{}, fmt.Errorf("core: building instance %d: %w", i, err)
 		}
-		got, err := s.Sample(f)
+		got, err := Collect(s, f)
 		if err != nil {
 			return InstanceStats{}, fmt.Errorf("core: sampling instance %d: %w", i, err)
 		}
@@ -127,9 +127,9 @@ func RunInstances(f []float64, realMean float64, n int, factory func(instance in
 // keeps instances decorrelated on bursty traffic, where a burst spanning
 // a few ticks would otherwise be caught by several near-identical
 // instances at once.
-func SystematicInstances(interval int) func(int) (Sampler, error) {
-	return func(i int) (Sampler, error) {
-		return NewSystematic(interval, SpreadOffset(i, interval))
+func SystematicInstances(interval int) func(int) (StreamSampler, error) {
+	return func(i int) (StreamSampler, error) {
+		return Systematic{Interval: interval, Offset: SpreadOffset(i, interval)}.Stream()
 	}
 }
 
@@ -147,30 +147,27 @@ func SpreadOffset(i, interval int) int {
 
 // StratifiedInstances returns a factory seeding one stratified sampler per
 // instance.
-func StratifiedInstances(interval int, baseSeed uint64) func(int) (Sampler, error) {
-	return func(i int) (Sampler, error) {
-		return NewStratified(interval, newRand(baseSeed+uint64(i)*0x9e3779b9))
+func StratifiedInstances(interval int, baseSeed uint64) func(int) (StreamSampler, error) {
+	return func(i int) (StreamSampler, error) {
+		return Stratified{Interval: interval, Rng: newRand(baseSeed + uint64(i)*0x9e3779b9)}.Stream()
 	}
 }
 
 // SimpleRandomInstances returns a factory drawing n-sample simple random
 // instances.
-func SimpleRandomInstances(n int, baseSeed uint64) func(int) (Sampler, error) {
-	return func(i int) (Sampler, error) {
-		return NewSimpleRandom(n, newRand(baseSeed+uint64(i)*0x9e3779b9))
+func SimpleRandomInstances(n int, baseSeed uint64) func(int) (StreamSampler, error) {
+	return func(i int) (StreamSampler, error) {
+		return SimpleRandom{N: n, Rng: newRand(baseSeed + uint64(i)*0x9e3779b9)}.Stream()
 	}
 }
 
 // BSSInstances returns a factory spreading BSS offsets across the
 // interval, holding the rest of the configuration fixed.
-func BSSInstances(cfg BSS) func(int) (Sampler, error) {
-	return func(i int) (Sampler, error) {
+func BSSInstances(cfg BSS) func(int) (StreamSampler, error) {
+	return func(i int) (StreamSampler, error) {
 		c := cfg
 		c.Offset = SpreadOffset(i, cfg.Interval)
-		if err := c.validate(); err != nil {
-			return nil, err
-		}
-		return c, nil
+		return c.Stream()
 	}
 }
 

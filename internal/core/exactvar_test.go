@@ -44,7 +44,7 @@ func TestExactSystematicMatchesAllOffsetInstances(t *testing.T) {
 	// Brute force over every offset.
 	var brute float64
 	for o := 0; o < c; o++ {
-		smp, err := (Systematic{Interval: c, Offset: o}).Sample(f)
+		smp, err := sampleOf(Systematic{Interval: c, Offset: o}, f)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -75,7 +75,7 @@ func TestExactStratifiedVarianceMatchesMonteCarlo(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		smp, err := s.Sample(f)
+		smp, err := sampleOf(s, f)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,7 +112,7 @@ func TestExactSimpleRandomVarianceMatchesMonteCarlo(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		smp, err := s.Sample(f)
+		smp, err := sampleOf(s, f)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 )
 
 // Spec syntax: a sampler is described by "name" or
@@ -20,7 +19,7 @@ import (
 // the sampler and rejects any parameter the factory did not consume, so
 // typos fail loudly instead of silently using defaults.
 
-// Params carries the parsed key=value parameters of a spec to a Factory.
+// Params carries the parsed key=value parameters of a spec to a factory.
 // Typed accessors record which keys were consumed; Lookup reports keys no
 // accessor touched as errors.
 type Params struct {
@@ -130,53 +129,26 @@ func ParseSpec(spec string) (string, *Params, error) {
 	return name, p, nil
 }
 
-// Factory builds a sampler from parsed spec parameters. The returned
-// Sampler should also implement Streamer so LookupStream can hand it to
-// streaming consumers; every built-in factory does.
-type Factory func(p *Params) (Sampler, error)
+// factory builds a technique's kernel from parsed spec parameters.
+type factory func(p *Params) (StreamSampler, error)
 
-// registry is the process-wide sampler registry. Reads vastly outnumber
-// writes (registration happens at init time), hence the RWMutex.
-var registry = struct {
-	sync.RWMutex
-	m map[string]Factory
-}{m: make(map[string]Factory)}
-
-// Register adds a sampler factory under the given technique name. It is
-// safe for concurrent use and fails on empty names, names containing the
-// spec separators ':' ',' '=', nil factories and duplicates.
-func Register(name string, f Factory) error {
-	if strings.TrimSpace(name) == "" {
-		return fmt.Errorf("core: cannot register an empty sampler name")
-	}
-	if strings.ContainsAny(name, ":,= \t\n") {
-		return fmt.Errorf("core: sampler name %q contains spec syntax characters", name)
-	}
-	if f == nil {
-		return fmt.Errorf("core: nil factory for sampler %q", name)
-	}
-	registry.Lock()
-	defer registry.Unlock()
-	if _, dup := registry.m[name]; dup {
-		return fmt.Errorf("core: sampler %q already registered", name)
-	}
-	registry.m[name] = f
-	return nil
-}
-
-// mustRegister registers the built-in techniques at init time.
-func mustRegister(name string, f Factory) {
-	if err := Register(name, f); err != nil {
-		panic(err)
-	}
+// factories is the fixed table of built-in techniques; "simple" and
+// "simple-random" name the same one.
+var factories = map[string]factory{
+	"systematic":    buildSystematic,
+	"stratified":    buildStratified,
+	"simple":        buildSimpleRandom,
+	"simple-random": buildSimpleRandom,
+	"bernoulli":     buildBernoulli,
+	"bss":           buildBSS,
 }
 
 // Lookup builds a sampler from a spec string like
-// "bss:rate=1e-3,L=10,eps=1.0". Every registered technique name is valid;
-// see Names. Failures are typed: syntax errors wrap ErrBadSpec,
-// unregistered names wrap ErrUnknownTechnique, and rejected parameters
-// surface as a *ParamError in the chain.
-func Lookup(spec string) (Sampler, error) {
+// "bss:rate=1e-3,L=10,eps=1.0". Every technique in Names is valid.
+// Failures are typed: syntax errors wrap ErrBadSpec, unknown names wrap
+// ErrUnknownTechnique, and rejected parameters surface as a *ParamError
+// in the chain.
+func Lookup(spec string) (StreamSampler, error) {
 	name, p, err := ParseSpec(spec)
 	if err != nil {
 		return nil, err
@@ -188,7 +160,7 @@ func Lookup(spec string) (Sampler, error) {
 // parameters — the typed counterpart of Lookup, for callers that already
 // hold structured parameters and should not round-trip them through the
 // string syntax. Failure modes match Lookup's.
-func Build(name string, kv map[string]string) (Sampler, error) {
+func Build(name string, kv map[string]string) (StreamSampler, error) {
 	if strings.TrimSpace(name) == "" {
 		return nil, fmt.Errorf("core: empty sampler technique name: %w", ErrBadSpec)
 	}
@@ -207,10 +179,8 @@ func NewParams(kv map[string]string) *Params {
 
 // build resolves the factory and runs it, enforcing full parameter
 // consumption — the shared tail of Lookup and Build.
-func build(name string, p *Params) (Sampler, error) {
-	registry.RLock()
-	f := registry.m[name]
-	registry.RUnlock()
+func build(name string, p *Params) (StreamSampler, error) {
+	f := factories[name]
 	if f == nil {
 		return nil, fmt.Errorf("core: unknown sampler %q (registered: %s): %w",
 			name, strings.Join(Names(), ", "), ErrUnknownTechnique)
@@ -229,41 +199,12 @@ func build(name string, p *Params) (Sampler, error) {
 	return s, nil
 }
 
-// LookupStream builds the streaming engine for a spec string.
-func LookupStream(spec string) (StreamSampler, error) {
-	s, err := Lookup(spec)
-	if err != nil {
-		return nil, err
-	}
-	return streamerOf(s)
-}
-
-// BuildStream builds the streaming engine from a technique name and raw
-// parameters, the typed counterpart of LookupStream.
-func BuildStream(name string, kv map[string]string) (StreamSampler, error) {
-	s, err := Build(name, kv)
-	if err != nil {
-		return nil, err
-	}
-	return streamerOf(s)
-}
-
-func streamerOf(s Sampler) (StreamSampler, error) {
-	c, ok := s.(Streamer)
-	if !ok {
-		return nil, fmt.Errorf("core: sampler %q has no streaming form", s.Name())
-	}
-	return c.Stream()
-}
-
-// Names returns the sorted names of every registered technique.
+// Names returns the sorted names of every built-in technique.
 func Names() []string {
-	registry.RLock()
-	out := make([]string, 0, len(registry.m))
-	for name := range registry.m {
+	out := make([]string, 0, len(factories))
+	for name := range factories {
 		out = append(out, name)
 	}
-	registry.RUnlock()
 	sort.Strings(out)
 	return out
 }
@@ -293,97 +234,94 @@ func specInterval(p *Params) (int, error) {
 	return iv, nil
 }
 
-func init() {
-	mustRegister("systematic", func(p *Params) (Sampler, error) {
-		interval, err := specInterval(p)
-		if err != nil {
-			return nil, err
-		}
-		offset, err := p.Int("offset", 0)
-		if err != nil {
-			return nil, err
-		}
-		return NewSystematic(interval, offset)
-	})
-	mustRegister("stratified", func(p *Params) (Sampler, error) {
-		interval, err := specInterval(p)
-		if err != nil {
-			return nil, err
-		}
-		seed, err := p.Uint("seed", 1)
-		if err != nil {
-			return nil, err
-		}
-		return NewStratified(interval, newRand(seed))
-	})
-	simple := func(p *Params) (Sampler, error) {
-		n, err := p.Int("n", 0)
-		if err != nil {
-			return nil, err
-		}
-		seed, err := p.Uint("seed", 1)
-		if err != nil {
-			return nil, err
-		}
-		if n > 0 {
-			return NewSimpleRandom(n, newRand(seed))
-		}
-		rate, err := p.Float("rate", 0)
-		if err != nil {
-			return nil, err
-		}
-		return NewSimpleRandomRate(rate, newRand(seed))
+func buildSystematic(p *Params) (StreamSampler, error) {
+	interval, err := specInterval(p)
+	if err != nil {
+		return nil, err
 	}
-	mustRegister("simple", simple)
-	mustRegister("simple-random", simple)
-	mustRegister("bernoulli", func(p *Params) (Sampler, error) {
-		rate, err := p.Float("rate", 0)
-		if err != nil {
-			return nil, err
-		}
-		seed, err := p.Uint("seed", 1)
-		if err != nil {
-			return nil, err
-		}
-		return NewBernoulli(rate, newRand(seed))
-	})
-	mustRegister("bss", func(p *Params) (Sampler, error) {
-		interval, err := specInterval(p)
-		if err != nil {
-			return nil, err
-		}
-		offset, err := p.Int("offset", 0)
-		if err != nil {
-			return nil, err
-		}
-		l, err := p.Int("L", 10)
-		if err != nil {
-			return nil, err
-		}
-		eps, err := p.Float("eps", 1.0)
-		if err != nil {
-			return nil, err
-		}
-		ath, err := p.Float("ath", 0)
-		if err != nil {
-			return nil, err
-		}
-		pre, err := p.Int("pre", 0)
-		if err != nil {
-			return nil, err
-		}
-		cfg := BSS{Interval: interval, Offset: offset, L: l, Epsilon: eps, Threshold: ath, PreSamples: pre}
-		switch placement := p.String("placement", "spread"); placement {
-		case "spread":
-			cfg.Placement = PlacementSpread
-		case "chase":
-			cfg.Placement = PlacementChase
-		default:
-			return nil, fmt.Errorf("core: unknown BSS placement %q (spread or chase)", placement)
-		}
-		if err := cfg.validate(); err != nil {
-			return nil, err
-		}
-		return cfg, nil
-	})
+	offset, err := p.Int("offset", 0)
+	if err != nil {
+		return nil, err
+	}
+	return Systematic{Interval: interval, Offset: offset}.Stream()
+}
+
+func buildStratified(p *Params) (StreamSampler, error) {
+	interval, err := specInterval(p)
+	if err != nil {
+		return nil, err
+	}
+	seed, err := p.Uint("seed", 1)
+	if err != nil {
+		return nil, err
+	}
+	return Stratified{Interval: interval, Rng: newRand(seed)}.Stream()
+}
+
+func buildSimpleRandom(p *Params) (StreamSampler, error) {
+	n, err := p.Int("n", 0)
+	if err != nil {
+		return nil, err
+	}
+	seed, err := p.Uint("seed", 1)
+	if err != nil {
+		return nil, err
+	}
+	if n > 0 {
+		return SimpleRandom{N: n, Rng: newRand(seed)}.Stream()
+	}
+	rate, err := p.Float("rate", 0)
+	if err != nil {
+		return nil, err
+	}
+	return SimpleRandom{Rate: rate, Rng: newRand(seed)}.Stream()
+}
+
+func buildBernoulli(p *Params) (StreamSampler, error) {
+	rate, err := p.Float("rate", 0)
+	if err != nil {
+		return nil, err
+	}
+	seed, err := p.Uint("seed", 1)
+	if err != nil {
+		return nil, err
+	}
+	return Bernoulli{Rate: rate, Rng: newRand(seed)}.Stream()
+}
+
+func buildBSS(p *Params) (StreamSampler, error) {
+	interval, err := specInterval(p)
+	if err != nil {
+		return nil, err
+	}
+	offset, err := p.Int("offset", 0)
+	if err != nil {
+		return nil, err
+	}
+	l, err := p.Int("L", 10)
+	if err != nil {
+		return nil, err
+	}
+	eps, err := p.Float("eps", 1.0)
+	if err != nil {
+		return nil, err
+	}
+	ath, err := p.Float("ath", 0)
+	if err != nil {
+		return nil, err
+	}
+	pre, err := p.Int("pre", 0)
+	if err != nil {
+		return nil, err
+	}
+	cfg := BSS{Interval: interval, Offset: offset, L: l, Epsilon: eps, Threshold: ath, PreSamples: pre}
+	switch placement := p.String("placement", "spread"); placement {
+	case "spread":
+		cfg.Placement = PlacementSpread
+	case "chase":
+		cfg.Placement = PlacementChase
+	default:
+		return nil, fmt.Errorf("core: unknown BSS placement %q (spread or chase)", placement)
+	}
+	return cfg.Stream()
 }

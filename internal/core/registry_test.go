@@ -54,19 +54,12 @@ func TestLookupBuildsEveryTechnique(t *testing.T) {
 		if s.Name() != tc.name {
 			t.Errorf("Lookup(%q).Name() = %q, want %q", tc.spec, s.Name(), tc.name)
 		}
-		got, err := s.Sample(f)
+		got, err := Collect(s, f)
 		if err != nil {
-			t.Fatalf("Lookup(%q).Sample: %v", tc.spec, err)
+			t.Fatalf("Collect(Lookup(%q)): %v", tc.spec, err)
 		}
 		if len(got) == 0 {
 			t.Errorf("Lookup(%q) kept no samples", tc.spec)
-		}
-		eng, err := LookupStream(tc.spec)
-		if err != nil {
-			t.Fatalf("LookupStream(%q): %v", tc.spec, err)
-		}
-		if eng.Name() == "" {
-			t.Errorf("LookupStream(%q): empty name", tc.spec)
 		}
 	}
 }
@@ -94,21 +87,6 @@ func TestLookupErrors(t *testing.T) {
 	}
 }
 
-func TestRegisterValidation(t *testing.T) {
-	if err := Register("", func(*Params) (Sampler, error) { return nil, nil }); err == nil {
-		t.Error("expected error for empty name")
-	}
-	if err := Register("has space", func(*Params) (Sampler, error) { return nil, nil }); err == nil {
-		t.Error("expected error for name with spec syntax characters")
-	}
-	if err := Register("nilfactory", nil); err == nil {
-		t.Error("expected error for nil factory")
-	}
-	if err := Register("systematic", func(*Params) (Sampler, error) { return nil, nil }); err == nil {
-		t.Error("expected error for duplicate registration")
-	}
-}
-
 func TestNamesSortedAndComplete(t *testing.T) {
 	names := Names()
 	if !sort.StringsAreSorted(names) {
@@ -126,8 +104,9 @@ func TestNamesSortedAndComplete(t *testing.T) {
 	}
 }
 
-// TestRegistryConcurrent hammers Register/Lookup/Names from many
-// goroutines; run with -race to verify the registry's locking.
+// TestRegistryConcurrent hammers Lookup/Build/Names from many
+// goroutines; run with -race to verify the registry shares no mutable
+// state between builds.
 func TestRegistryConcurrent(t *testing.T) {
 	const workers = 16
 	var wg sync.WaitGroup
@@ -135,20 +114,10 @@ func TestRegistryConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			name := fmt.Sprintf("race-probe-%d", w)
-			if err := Register(name, func(p *Params) (Sampler, error) {
-				interval, err := specInterval(p)
-				if err != nil {
-					return nil, err
-				}
-				return NewSystematic(interval, 0)
-			}); err != nil {
-				t.Errorf("Register(%s): %v", name, err)
-				return
-			}
+			interval := fmt.Sprint(10 + w)
 			for i := 0; i < 50; i++ {
-				if _, err := Lookup(name + ":interval=10"); err != nil {
-					t.Errorf("Lookup(%s): %v", name, err)
+				if _, err := Build("systematic", map[string]string{"interval": interval}); err != nil {
+					t.Errorf("Build(systematic): %v", err)
 					return
 				}
 				if _, err := Lookup("bss:rate=0.1,L=2"); err != nil {

@@ -8,10 +8,10 @@
 // xi, extra-sample count L, threshold ratio epsilon, overhead, and the
 // eta(r) convergence law).
 //
-// Every technique is implemented once, as an incremental StreamSampler
-// state machine consuming the traffic process f(t) tick by tick; the
-// batch Sampler interface below is a thin adapter over it (Collect). A
-// spec-string registry (Register/Lookup/Names) builds either form from
+// Every technique is implemented once, as a StreamSampler state
+// machine that consumes the traffic process f(t) in batches and jumps
+// straight to the ticks it keeps; Collect runs one over a whole series.
+// A spec-string registry (Lookup/Build/Names) builds them from
 // descriptions like "bss:rate=1e-3,L=10,eps=1.0".
 package core
 
@@ -24,14 +24,6 @@ type Sample struct {
 	Index     int     // position in the parent series
 	Value     float64 // f(Index)
 	Qualified bool    // true when taken as a BSS extra ("qualified") sample
-}
-
-// Sampler selects observations from a traffic series.
-type Sampler interface {
-	// Name identifies the technique (for reports and experiment tables).
-	Name() string
-	// Sample returns the selected observations in increasing index order.
-	Sample(f []float64) ([]Sample, error)
 }
 
 // Systematic is static systematic sampling: every Interval-th element is
@@ -51,19 +43,16 @@ func NewSystematic(interval, offset int) (Systematic, error) {
 	return s, nil
 }
 
-// Name implements Sampler.
+// Name identifies the technique.
 func (s Systematic) Name() string { return "systematic" }
 
-// Stream implements Streamer.
+// Stream validates the configuration and returns a fresh kernel.
 func (s Systematic) Stream() (StreamSampler, error) {
 	if err := s.validate(); err != nil {
 		return nil, err
 	}
 	return &streamSystematic{interval: s.Interval, next: s.Offset}, nil
 }
-
-// Sample implements Sampler.
-func (s Systematic) Sample(f []float64) ([]Sample, error) { return sampleViaStream(s, f) }
 
 func (s Systematic) validate() error {
 	if s.Interval < 1 {
@@ -92,19 +81,16 @@ func NewStratified(interval int, rng *Rand) (Stratified, error) {
 	return s, nil
 }
 
-// Name implements Sampler.
+// Name identifies the technique.
 func (s Stratified) Name() string { return "stratified" }
 
-// Stream implements Streamer.
+// Stream validates the configuration and returns a fresh kernel.
 func (s Stratified) Stream() (StreamSampler, error) {
 	if err := s.validate(); err != nil {
 		return nil, err
 	}
 	return &streamStratified{interval: s.Interval, rng: s.Rng}, nil
 }
-
-// Sample implements Sampler.
-func (s Stratified) Sample(f []float64) ([]Sample, error) { return sampleViaStream(s, f) }
 
 func (s Stratified) validate() error {
 	if s.Interval < 1 {
@@ -144,22 +130,20 @@ func NewSimpleRandomRate(rate float64, rng *Rand) (SimpleRandom, error) {
 	return s, nil
 }
 
-// Name implements Sampler.
+// Name identifies the technique.
 func (s SimpleRandom) Name() string { return "simple-random" }
 
-// Stream implements Streamer. The fixed-size form (N > 0) runs a
-// skip-based reservoir in O(N) memory; the population-relative form
-// buffers the raw values and draws at Finish — a rate-sized draw
-// without replacement needs the whole population.
+// Stream validates the configuration and returns a fresh kernel. The
+// fixed-size form (N > 0) runs a skip-based reservoir in O(N) memory;
+// the population-relative form buffers the raw values and draws at
+// Finish — a rate-sized draw without replacement needs the whole
+// population.
 func (s SimpleRandom) Stream() (StreamSampler, error) {
 	if err := s.validate(); err != nil {
 		return nil, err
 	}
 	return &streamSimpleRandom{n: s.N, rate: s.Rate, rng: s.Rng}, nil
 }
-
-// Sample implements Sampler.
-func (s SimpleRandom) Sample(f []float64) ([]Sample, error) { return sampleViaStream(s, f) }
 
 func (s SimpleRandom) validate() error {
 	if s.N < 1 && s.Rate == 0 {
@@ -195,19 +179,16 @@ func NewBernoulli(rate float64, rng *Rand) (Bernoulli, error) {
 	return b, nil
 }
 
-// Name implements Sampler.
+// Name identifies the technique.
 func (s Bernoulli) Name() string { return "bernoulli" }
 
-// Stream implements Streamer.
+// Stream validates the configuration and returns a fresh kernel.
 func (s Bernoulli) Stream() (StreamSampler, error) {
 	if err := s.validate(); err != nil {
 		return nil, err
 	}
 	return newStreamBernoulli(s.Rate, s.Rng), nil
 }
-
-// Sample implements Sampler.
-func (s Bernoulli) Sample(f []float64) ([]Sample, error) { return sampleViaStream(s, f) }
 
 func (s Bernoulli) validate() error {
 	if !(s.Rate > 0) || s.Rate > 1 {
@@ -218,15 +199,3 @@ func (s Bernoulli) validate() error {
 	}
 	return nil
 }
-
-// Interface compliance checks.
-var (
-	_ Sampler  = Systematic{}
-	_ Sampler  = Stratified{}
-	_ Sampler  = SimpleRandom{}
-	_ Sampler  = Bernoulli{}
-	_ Streamer = Systematic{}
-	_ Streamer = Stratified{}
-	_ Streamer = SimpleRandom{}
-	_ Streamer = Bernoulli{}
-)

@@ -31,17 +31,17 @@ func TestSystematicValidation(t *testing.T) {
 	if s.Name() != "systematic" {
 		t.Errorf("name = %q", s.Name())
 	}
-	if _, err := (Systematic{Interval: 0}).Sample(seq(8)); err == nil {
+	if _, err := sampleOf(Systematic{Interval: 0}, seq(8)); err == nil {
 		t.Error("Sample should re-validate")
 	}
-	if _, err := s.Sample(nil); err == nil {
+	if _, err := sampleOf(s, nil); err == nil {
 		t.Error("expected error for empty series")
 	}
 }
 
 func TestSystematicIndices(t *testing.T) {
 	s := Systematic{Interval: 3, Offset: 1}
-	got, err := s.Sample(seq(10))
+	got, err := sampleOf(s, seq(10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,8 +59,8 @@ func TestSystematicIndices(t *testing.T) {
 func TestSystematicDeterministic(t *testing.T) {
 	f := seq(100)
 	s := Systematic{Interval: 7}
-	a, _ := s.Sample(f)
-	b, _ := s.Sample(f)
+	a, _ := sampleOf(s, f)
+	b, _ := sampleOf(s, f)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("systematic sampling must be deterministic")
@@ -76,7 +76,7 @@ func TestStratifiedOnePerStratum(t *testing.T) {
 			return false
 		}
 		f := seq(16 * c)
-		got, err := s.Sample(f)
+		got, err := sampleOf(s, f)
 		if err != nil {
 			return false
 		}
@@ -109,10 +109,10 @@ func TestStratifiedValidation(t *testing.T) {
 	if s.Name() != "stratified" {
 		t.Errorf("name = %q", s.Name())
 	}
-	if _, err := s.Sample(nil); err == nil {
+	if _, err := sampleOf(s, nil); err == nil {
 		t.Error("expected error for empty series")
 	}
-	if _, err := (Stratified{Interval: 2}).Sample(seq(8)); err == nil {
+	if _, err := sampleOf(Stratified{Interval: 2}, seq(8)); err == nil {
 		t.Error("expected error for nil rng at sample time")
 	}
 }
@@ -125,7 +125,7 @@ func TestSimpleRandomWithoutReplacement(t *testing.T) {
 			return false
 		}
 		f := seq(200)
-		got, err := s.Sample(f)
+		got, err := sampleOf(s, f)
 		if err != nil || len(got) != n {
 			return false
 		}
@@ -156,10 +156,10 @@ func TestSimpleRandomValidation(t *testing.T) {
 	if s.Name() != "simple-random" {
 		t.Errorf("name = %q", s.Name())
 	}
-	if _, err := s.Sample(seq(5)); err == nil {
+	if _, err := sampleOf(s, seq(5)); err == nil {
 		t.Error("expected error for n > population")
 	}
-	if _, err := s.Sample(nil); err == nil {
+	if _, err := sampleOf(s, nil); err == nil {
 		t.Error("expected error for empty series")
 	}
 }
@@ -171,7 +171,7 @@ func TestSimpleRandomUniformCoverage(t *testing.T) {
 	f := seq(popLen)
 	for r := 0; r < reps; r++ {
 		s, _ := NewSimpleRandom(picks, newRand(uint64(r)))
-		got, err := s.Sample(f)
+		got, err := sampleOf(s, f)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -202,17 +202,17 @@ func TestBernoulliSampling(t *testing.T) {
 		t.Errorf("name = %q", b.Name())
 	}
 	f := seq(100000)
-	got, err := b.Sample(f)
+	got, err := sampleOf(b, f)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n := float64(len(got)); math.Abs(n-25000) > 1000 {
 		t.Errorf("kept %g samples, want ~25000", n)
 	}
-	if _, err := b.Sample(nil); err == nil {
+	if _, err := sampleOf(b, nil); err == nil {
 		t.Error("expected error for empty series")
 	}
-	if _, err := (Bernoulli{Rate: 0.5}).Sample(f); err == nil {
+	if _, err := sampleOf(Bernoulli{Rate: 0.5}, f); err == nil {
 		t.Error("expected error for nil rng at sample time")
 	}
 }
@@ -220,7 +220,7 @@ func TestBernoulliSampling(t *testing.T) {
 func TestBernoulliGapsAreGeometric(t *testing.T) {
 	// Eq. (13): gap law Pr(T=k) = (1-r)^(k-1) r; the mean gap is 1/r.
 	b, _ := NewBernoulli(0.2, newRand(9))
-	got, err := b.Sample(seq(200000))
+	got, err := sampleOf(b, seq(200000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +243,7 @@ func TestAllSamplersAreUnbiasedOnIID(t *testing.T) {
 		f[i] = rng.Float64() * 10
 	}
 	trueMean := MeanOf(mustSample(t, Systematic{Interval: 1}, f))
-	samplers := []Sampler{
+	samplers := []config{
 		Systematic{Interval: 100, Offset: 13},
 		Stratified{Interval: 100, Rng: newRand(5)},
 		SimpleRandom{N: 1000, Rng: newRand(6)},
@@ -257,9 +257,9 @@ func TestAllSamplersAreUnbiasedOnIID(t *testing.T) {
 	}
 }
 
-func mustSample(t *testing.T, s Sampler, f []float64) []Sample {
+func mustSample(t *testing.T, s config, f []float64) []Sample {
 	t.Helper()
-	got, err := s.Sample(f)
+	got, err := sampleOf(s, f)
 	if err != nil {
 		t.Fatalf("%s: %v", s.Name(), err)
 	}

@@ -6,10 +6,17 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/seed_stability.golden from the current output")
+
+// seedStabilityTicks is the length of the trace the golden lines cover.
+const seedStabilityTicks = 8192
+
+var goldenPath = filepath.Join("testdata", "seed_stability.golden")
 
 // seedStabilitySpecs pins one representative parameterization per
 // technique. The trace length exercises several strata, reservoir
@@ -46,22 +53,25 @@ var seedStabilitySpecs = []string{
 
 // TestSeedStability is the repo's cross-version determinism anchor:
 // under a fixed seed, each technique's kept-index sequence is pinned to
-// a committed golden file. A diff here means a code change silently
-// moved which ticks get sampled — if that is intended (a new kernel
-// with a different draw order), regenerate with
+// a committed golden file. The golden lines were generated by the
+// retired per-tick form of each technique (one Offer call per tick),
+// so they are also the reference TestBatchKernelMatchesOffer holds the
+// skip kernels to under every batch shape. A diff here means a code
+// change silently moved which ticks get sampled — if that is intended
+// (a new kernel with a different draw order), regenerate with
 //
 //	go test ./internal/core -run TestSeedStability -update
 //
 // and call the change out in the commit message; if not, it is a
-// regression. The golden file was regenerated when the skip-based
+// regression. The first six lines were last regenerated when the skip
 // kernels replaced the per-tick draws for simple random and Bernoulli
 // sampling (their RNG spend changed; systematic, stratified and BSS
 // kept their original sequences byte for byte).
 func TestSeedStability(t *testing.T) {
-	f := streamTestTrace(8192)
+	f := streamTestTrace(seedStabilityTicks)
 	var buf bytes.Buffer
 	for _, spec := range seedStabilitySpecs {
-		eng, err := LookupStream(spec)
+		eng, err := Lookup(spec)
 		if err != nil {
 			t.Fatalf("%s: %v", spec, err)
 		}
@@ -76,7 +86,7 @@ func TestSeedStability(t *testing.T) {
 		buf.WriteByte('\n')
 	}
 
-	path := filepath.Join("testdata", "seed_stability.golden")
+	path := goldenPath
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
@@ -102,6 +112,31 @@ func TestSeedStability(t *testing.T) {
 		}
 		t.Fatalf("seed stability broken: regenerate with -update ONLY if the draw-order change is intentional")
 	}
+}
+
+// readGolden parses the golden file into each spec's kept indices.
+func readGolden(t *testing.T) map[string][]int {
+	t.Helper()
+	data, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatalf("read golden: %v", err)
+	}
+	out := make(map[string][]int)
+	for _, line := range strings.Split(strings.TrimSuffix(string(data), "\n"), "\n") {
+		// Specs contain ':' too; the indices follow the last one.
+		i := strings.LastIndex(line, ":")
+		spec, rest := line[:i], line[i+1:]
+		var idx []int
+		for _, field := range strings.Fields(rest) {
+			k, err := strconv.Atoi(field)
+			if err != nil {
+				t.Fatalf("golden line %q: %v", spec, err)
+			}
+			idx = append(idx, k)
+		}
+		out[spec] = idx
+	}
+	return out
 }
 
 func lineOrMissing(lines [][]byte, i int) []byte {

@@ -9,9 +9,9 @@ import (
 // The skip-based kernels change HOW randomness is spent, never WHAT is
 // sampled. Two invariant families pin that:
 //
-//   - state-machine equivalence: on one instance, any mix of Offer and
-//     OfferBatch calls yields exactly the per-tick sample sequence
-//     (same RNG spend, same indices, same values);
+//   - per-tick equivalence: under any batch shape, each kernel yields
+//     exactly the sample sequence the retired per-tick form recorded in
+//     the seed-stability golden file (same indices, same values);
 //   - distributional equality: where the kernels spend randomness
 //     differently from the retired per-tick draws (Bernoulli's
 //     geometric gaps, simple random's reservoir/Floyd selection), the
@@ -31,23 +31,10 @@ func uniformTrace(n int, seed uint64) []float64 {
 	return f
 }
 
-// batchSpecs names every technique with a BatchStreamer kernel, in both
-// parameterizations where the technique has two.
-var batchSpecs = []string{
-	"systematic:interval=37,offset=5",
-	"systematic:interval=1",
-	"stratified:interval=41,seed=11",
-	"stratified:interval=1,seed=3",
-	"simple:n=500,seed=12",
-	"simple:rate=0.01,seed=13",
-	"bernoulli:rate=0.02,seed=14",
-	"bernoulli:rate=1,seed=2",
-}
-
-// runTicks drives the per-tick reference form.
-func runTicks(t *testing.T, spec string, f []float64) []Sample {
+// run drives one spec's kernel over the whole of f.
+func run(t *testing.T, spec string, f []float64) []Sample {
 	t.Helper()
-	eng, err := LookupStream(spec)
+	eng, err := Lookup(spec)
 	if err != nil {
 		t.Fatalf("%s: %v", spec, err)
 	}
@@ -58,107 +45,71 @@ func runTicks(t *testing.T, spec string, f []float64) []Sample {
 	return out
 }
 
-// runBatches drives the batch kernel over the given chunk sizes,
-// cycling through them until the series is consumed.
-func runBatches(t *testing.T, spec string, f []float64, sizes []int) []Sample {
+// runBatches drives a kernel over the given chunk sizes, cycling
+// through them until the series is consumed.
+func runBatches(t *testing.T, eng StreamSampler, f []float64, sizes []int) []Sample {
 	t.Helper()
-	eng, err := LookupStream(spec)
-	if err != nil {
-		t.Fatalf("%s: %v", spec, err)
-	}
-	bs, ok := eng.(BatchStreamer)
-	if !ok {
-		t.Fatalf("%s: no BatchStreamer kernel", spec)
-	}
 	var out []Sample
 	for off, c := 0, 0; off < len(f); c++ {
-		end := off + sizes[c%len(sizes)]
-		if end > len(f) {
-			end = len(f)
-		}
-		out = bs.OfferBatch(off, f[off:end], out)
+		end := min(off+sizes[c%len(sizes)], len(f))
+		out = eng.OfferBatch(off, f[off:end], out)
 		off = end
 	}
 	tail, err := eng.Finish()
 	if err != nil {
-		t.Fatalf("%s: finish: %v", spec, err)
+		t.Fatalf("%s: finish: %v", eng.Name(), err)
 	}
 	return append(out, tail...)
 }
 
-// TestBatchKernelMatchesOffer is the tentpole's correctness anchor: for
-// every kernel and several adversarial batch shapes (single ticks,
-// chunks straddling strata, chunks larger than the skip), the batch
-// form emits exactly the per-tick sample sequence.
+// TestBatchKernelMatchesOffer is the kernels' correctness anchor: the
+// golden kept-index lines were generated by the retired per-tick Offer
+// form, and every seed-stability spec must reproduce its line under
+// several adversarial batch shapes (single ticks, chunks straddling
+// strata, chunks larger than the skip, the whole stream at once). Each
+// sample must carry its tick's value, and a BSS sample is Qualified
+// exactly when it lies off the base grid.
 func TestBatchKernelMatchesOffer(t *testing.T) {
-	f := streamTestTrace(30000)
+	f := streamTestTrace(seedStabilityTicks)
+	golden := readGolden(t)
 	shapes := [][]int{
-		{1},                  // batch form degenerates to per-tick
+		{1},                  // one tick per batch: the per-tick form
 		{129},                // non-divisor chunks
 		{512},                // the serving layer's typical batch
 		{1, 7, 41, 513, 129}, // ragged mix
-		{30000},              // the whole stream at once
+		{len(f)},             // the whole stream at once
 	}
-	for _, spec := range batchSpecs {
-		want := runTicks(t, spec, f)
+	for _, spec := range seedStabilitySpecs {
+		want, ok := golden[spec]
+		if !ok || len(want) == 0 {
+			t.Fatalf("%s: no golden indices", spec)
+		}
 		for _, sizes := range shapes {
-			got := runBatches(t, spec, f, sizes)
+			eng, err := Lookup(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := runBatches(t, eng, f, sizes)
 			if len(got) != len(want) {
-				t.Fatalf("%s sizes=%v: batch kept %d, tick kept %d", spec, sizes, len(got), len(want))
+				t.Fatalf("%s sizes=%v: kept %d, golden %d", spec, sizes, len(got), len(want))
 			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("%s sizes=%v: sample %d differs: batch %+v vs tick %+v",
-						spec, sizes, i, got[i], want[i])
+			bss, isBSS := eng.(*StreamBSS)
+			for i, s := range got {
+				if s.Index != want[i] || s.Value != f[s.Index] {
+					t.Fatalf("%s sizes=%v: sample %d is %+v, golden index %d", spec, sizes, i, s, want[i])
+				}
+				offGrid := isBSS && (s.Index-bss.cfg.Offset)%bss.cfg.Interval != 0
+				if s.Qualified != offGrid {
+					t.Fatalf("%s sizes=%v: sample %+v has Qualified=%v", spec, sizes, s, s.Qualified)
 				}
 			}
-		}
-	}
-}
-
-// TestBatchKernelInterleaved mixes Offer and OfferBatch on one
-// instance — the documented contract — against the pure per-tick run.
-func TestBatchKernelInterleaved(t *testing.T) {
-	f := streamTestTrace(20000)
-	for _, spec := range batchSpecs {
-		want := runTicks(t, spec, f)
-		eng, err := LookupStream(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bs := eng.(BatchStreamer)
-		var got []Sample
-		for off, turn := 0, 0; off < len(f); turn++ {
-			if turn%2 == 0 { // a run of single-tick Offers
-				end := off + 83
-				if end > len(f) {
-					end = len(f)
+			if isBSS {
+				if bss.Kept() != len(got) {
+					t.Errorf("%s sizes=%v: Kept() = %d, want %d", spec, sizes, bss.Kept(), len(got))
 				}
-				for ; off < end; off++ {
-					if s, ok := eng.Offer(off, f[off]); ok {
-						got = append(got, s)
-					}
+				if math.Abs(bss.Mean()-MeanOf(got)) > 1e-9 {
+					t.Errorf("%s sizes=%v: running mean %g vs kept mean %g", spec, sizes, bss.Mean(), MeanOf(got))
 				}
-			} else { // then a batch
-				end := off + 301
-				if end > len(f) {
-					end = len(f)
-				}
-				got = bs.OfferBatch(off, f[off:end], got)
-				off = end
-			}
-		}
-		tail, err := eng.Finish()
-		if err != nil {
-			t.Fatal(err)
-		}
-		got = append(got, tail...)
-		if len(got) != len(want) {
-			t.Fatalf("%s: interleaved kept %d, tick kept %d", spec, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("%s: sample %d differs: interleaved %+v vs tick %+v", spec, i, got[i], want[i])
 			}
 		}
 	}
@@ -228,7 +179,7 @@ func ksTwoSample(a, b []int) float64 {
 func TestBernoulliGapLaw(t *testing.T) {
 	const p = 0.01
 	f := uniformTrace(400000, 61)
-	samples := runTicks(t, "bernoulli:rate=0.01,seed=17", f)
+	samples := run(t, "bernoulli:rate=0.01,seed=17", f)
 
 	kept := float64(len(samples))
 	sd := math.Sqrt(p * (1 - p) * float64(len(f)))
@@ -299,7 +250,7 @@ func legacySimpleRandom(seed uint64, f []float64, n int) []Sample {
 // inter-sample gaps, unbiased moments.
 func TestSimpleRandomRateDistribution(t *testing.T) {
 	f := uniformTrace(400000, 62)
-	samples := runTicks(t, "simple:rate=0.01,seed=21", f)
+	samples := run(t, "simple:rate=0.01,seed=21", f)
 	if want := len(f) / 100; len(samples) != want {
 		t.Fatalf("rate mode kept %d samples, want exactly %d", len(samples), want)
 	}
@@ -328,13 +279,7 @@ func TestReservoirInclusionUniform(t *testing.T) {
 	var meanSum float64
 	counts := make([]int, blocks)
 	for trial := 0; trial < trials; trial++ {
-		eng, err := SimpleRandom{N: n, Rng: newRand(uint64(1000 + trial))}.Stream()
-		if err != nil {
-			t.Fatal(err)
-		}
-		bs := eng.(BatchStreamer)
-		bs.OfferBatch(0, f, nil)
-		got, err := eng.Finish()
+		got, err := sampleOf(SimpleRandom{N: n, Rng: newRand(uint64(1000 + trial))}, f)
 		if err != nil {
 			t.Fatal(err)
 		}

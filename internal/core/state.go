@@ -7,29 +7,6 @@ import (
 	"repro/internal/stats"
 )
 
-// StatefulSampler is a streaming kernel whose exact dynamic state can
-// be captured and restored: AppendState on a live kernel followed by
-// RestoreState on a fresh kernel built from the same configuration
-// yields a kernel that emits the byte-identical sample sequence the
-// original would have continued with — including the random draw
-// sequence, because the RNG position travels with the state.
-//
-// The blob is kernel-internal: callers treat it as opaque bytes and are
-// expected to frame, version and checksum it themselves (the sampling
-// package's engine codec does). RestoreState validates that the blob's
-// embedded configuration matches the kernel it is applied to, so a
-// state blob cannot silently land on a kernel built from a different
-// spec. All five built-in techniques implement this interface.
-type StatefulSampler interface {
-	StreamSampler
-	// AppendState appends the kernel's state to dst and returns the
-	// extended slice.
-	AppendState(dst []byte) ([]byte, error)
-	// RestoreState overwrites the kernel's dynamic state from a blob
-	// produced by AppendState on a kernel with the same configuration.
-	RestoreState(data []byte) error
-}
-
 // Kernel state tags: the first byte of every kernel blob names the
 // technique that wrote it, so a blob applied to the wrong kernel type
 // fails loudly instead of misparsing.
@@ -90,7 +67,7 @@ func mismatch(name, field string, blob, kernel any) error {
 	return fmt.Errorf("core: %s state %s %v does not match kernel %s %v", name, field, blob, field, kernel)
 }
 
-// AppendState implements StatefulSampler.
+// AppendState implements StreamSampler.
 func (p *streamSystematic) AppendState(dst []byte) ([]byte, error) {
 	dst = binenc.AppendU8(dst, stateTagSystematic)
 	dst = binenc.AppendI64(dst, int64(p.interval))
@@ -99,7 +76,7 @@ func (p *streamSystematic) AppendState(dst []byte) ([]byte, error) {
 	return dst, nil
 }
 
-// RestoreState implements StatefulSampler.
+// RestoreState implements StreamSampler.
 func (p *streamSystematic) RestoreState(data []byte) error {
 	r := binenc.NewReader(data)
 	if err := checkTag(r, stateTagSystematic, "systematic"); err != nil {
@@ -119,7 +96,7 @@ func (p *streamSystematic) RestoreState(data []byte) error {
 	return nil
 }
 
-// AppendState implements StatefulSampler.
+// AppendState implements StreamSampler.
 func (p *streamStratified) AppendState(dst []byte) ([]byte, error) {
 	dst = binenc.AppendU8(dst, stateTagStratified)
 	dst = binenc.AppendI64(dst, int64(p.interval))
@@ -129,7 +106,7 @@ func (p *streamStratified) AppendState(dst []byte) ([]byte, error) {
 	return p.rng.appendState(dst)
 }
 
-// RestoreState implements StatefulSampler.
+// RestoreState implements StreamSampler.
 func (p *streamStratified) RestoreState(data []byte) error {
 	r := binenc.NewReader(data)
 	if err := checkTag(r, stateTagStratified, "stratified"); err != nil {
@@ -154,7 +131,7 @@ func (p *streamStratified) RestoreState(data []byte) error {
 	return nil
 }
 
-// AppendState implements StatefulSampler. Rate mode's candidate buffer
+// AppendState implements StreamSampler. Rate mode's candidate buffer
 // is written in full — the regime's documented O(stream length) state —
 // so a restored rate-mode kernel still owns every candidate tick.
 func (p *streamSimpleRandom) AppendState(dst []byte) ([]byte, error) {
@@ -173,7 +150,7 @@ func (p *streamSimpleRandom) AppendState(dst []byte) ([]byte, error) {
 	return p.rng.appendState(dst)
 }
 
-// RestoreState implements StatefulSampler.
+// RestoreState implements StreamSampler.
 func (p *streamSimpleRandom) RestoreState(data []byte) error {
 	r := binenc.NewReader(data)
 	if err := checkTag(r, stateTagSimpleRandom, "simple-random"); err != nil {
@@ -215,7 +192,7 @@ func (p *streamSimpleRandom) RestoreState(data []byte) error {
 	return nil
 }
 
-// AppendState implements StatefulSampler.
+// AppendState implements StreamSampler.
 func (p *streamBernoulli) AppendState(dst []byte) ([]byte, error) {
 	dst = binenc.AppendU8(dst, stateTagBernoulli)
 	dst = binenc.AppendF64(dst, p.rate)
@@ -223,7 +200,7 @@ func (p *streamBernoulli) AppendState(dst []byte) ([]byte, error) {
 	return p.rng.appendState(dst)
 }
 
-// RestoreState implements StatefulSampler. logq is a pure function of
+// RestoreState implements StreamSampler. logq is a pure function of
 // the rate, so only the skip counter and the RNG position travel.
 func (p *streamBernoulli) RestoreState(data []byte) error {
 	r := binenc.NewReader(data)
@@ -248,9 +225,9 @@ func (p *streamBernoulli) RestoreState(data []byte) error {
 	return nil
 }
 
-// AppendState implements StatefulSampler. BSS draws no randomness; its
+// AppendState implements StreamSampler. BSS draws no randomness; its
 // state is the base-sample schedule, the adaptive-threshold accumulator
-// and the pending extra-probe ticks.
+// and the extra-probe ticks still pending (those past the cursor).
 func (s *StreamBSS) AppendState(dst []byte) ([]byte, error) {
 	dst = binenc.AppendU8(dst, stateTagBSS)
 	dst = binenc.AppendI64(dst, int64(s.cfg.Interval))
@@ -261,14 +238,15 @@ func (s *StreamBSS) AppendState(dst []byte) ([]byte, error) {
 	dst = binenc.AppendI64(dst, int64(s.baseSeen))
 	dst = binenc.AppendF64(dst, s.ath)
 	dst = binenc.AppendBool(dst, s.armed)
-	dst = binenc.AppendU32(dst, uint32(len(s.extras)))
-	for _, t := range s.extras {
+	pending := s.extras[s.cur:]
+	dst = binenc.AppendU32(dst, uint32(len(pending)))
+	for _, t := range pending {
 		dst = binenc.AppendI64(dst, int64(t))
 	}
 	return dst, nil
 }
 
-// RestoreState implements StatefulSampler.
+// RestoreState implements StreamSampler.
 func (s *StreamBSS) RestoreState(data []byte) error {
 	r := binenc.NewReader(data)
 	if err := checkTag(r, stateTagBSS, "bss"); err != nil {
@@ -303,16 +281,25 @@ func (s *StreamBSS) RestoreState(data []byte) error {
 	if tick < 0 || baseSeen < 0 || accState.N < 0 {
 		return fmt.Errorf("core: bss state counters negative (tick=%d baseSeen=%d accN=%d)", tick, baseSeen, accState.N)
 	}
-	s.tick, s.nextBase, s.baseSeen, s.ath, s.armed, s.extras = tick, nextBase, baseSeen, ath, armed, extras
+	if nextBase < tick {
+		return fmt.Errorf("core: bss state nextBase=%d trails tick=%d", nextBase, tick)
+	}
+	for i, t := range extras {
+		if t < tick || t >= nextBase || (i > 0 && t <= extras[i-1]) {
+			return fmt.Errorf("core: bss state extra probes %v not ascending inside [%d, %d)", extras, tick, nextBase)
+		}
+	}
+	s.tick, s.nextBase, s.baseSeen, s.ath, s.armed = tick, nextBase, baseSeen, ath, armed
+	s.extras, s.cur = extras, 0
 	s.running.SetState(accState)
 	return nil
 }
 
-// Interface compliance checks: every built-in technique exposes state.
+// Interface compliance checks.
 var (
-	_ StatefulSampler = (*streamSystematic)(nil)
-	_ StatefulSampler = (*streamStratified)(nil)
-	_ StatefulSampler = (*streamSimpleRandom)(nil)
-	_ StatefulSampler = (*streamBernoulli)(nil)
-	_ StatefulSampler = (*StreamBSS)(nil)
+	_ StreamSampler = (*streamSystematic)(nil)
+	_ StreamSampler = (*streamStratified)(nil)
+	_ StreamSampler = (*streamSimpleRandom)(nil)
+	_ StreamSampler = (*streamBernoulli)(nil)
+	_ StreamSampler = (*StreamBSS)(nil)
 )

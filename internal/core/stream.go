@@ -6,70 +6,60 @@ import (
 	"sort"
 )
 
-// StreamSampler is the incremental form of a sampling technique: ticks of
-// the traffic process are offered one at a time, in order, and the
-// sampler emits each selected observation as soon as it is decidable.
-// This is the engine every consumer runs on; the batch Sampler.Sample
-// methods are thin adapters over it (see Collect). Techniques that can
-// jump over ticks they will not keep also implement BatchStreamer, the
-// skip-based batch fast path the public sampling.Engine dispatches to.
+// StreamSampler is the one form of a sampling technique: a
+// single-goroutine state machine that consumes the traffic process f(t)
+// in contiguous batches of ticks, jumping skip-wise to the ticks it
+// keeps instead of visiting every element — one RNG draw per kept
+// sample (or per stratum) where a per-tick loop would branch, and the
+// randomized techniques would draw, once per tick. Its state can be
+// captured and restored exactly, RNG position included.
 //
-// Implementations are single-goroutine state machines: they must not be
-// offered ticks from multiple goroutines concurrently.
+// Implementations must not be offered ticks from multiple goroutines
+// concurrently.
 type StreamSampler interface {
 	// Name identifies the technique (for reports and experiment tables).
 	Name() string
-	// Offer presents the next tick. index is recorded in emitted samples
-	// and must increase by one per call starting from the first offered
-	// tick. It returns the sample finalized by this tick, if any — which
-	// may carry an earlier index when the decision was deferred (e.g.
-	// stratified sampling emits a stratum's pick only once the stratum is
-	// complete).
-	Offer(index int, value float64) (Sample, bool)
+	// OfferBatch presents the next batch: values[i] is the tick at index
+	// startIndex+i, and batches arrive in stream order with contiguous
+	// indices. Every sample the batch finalizes is appended to dst in
+	// emission order — a sample may carry an earlier index when its
+	// decision was deferred (stratified sampling emits a stratum's pick
+	// only once the stratum is complete). How the stream is cut into
+	// batches never changes the output. dst follows the append
+	// convention so callers can reuse one buffer across batches;
+	// implementations never retain it.
+	OfferBatch(startIndex int, values []float64, dst []Sample) []Sample
 	// Finish declares the end of the stream and returns any samples that
 	// could only be decided with the whole stream seen (e.g. simple random
 	// sampling's draw without replacement), or an error when the stream
 	// was unusable for the configured technique.
 	Finish() ([]Sample, error)
+	// AppendState appends the kernel's dynamic state to dst. The blob is
+	// kernel-internal: callers treat it as opaque bytes and frame,
+	// version and checksum it themselves (the sampling package's engine
+	// codec does).
+	AppendState(dst []byte) ([]byte, error)
+	// RestoreState overwrites the kernel's dynamic state from a blob
+	// written by AppendState on a kernel built from the same
+	// configuration; a blob whose embedded configuration differs is
+	// rejected. The restored kernel emits the byte-identical sample
+	// sequence the original would have continued with.
+	RestoreState(data []byte) error
 }
 
-// Streamer is a sampler configuration that can produce a fresh streaming
-// engine. Every batch sampler in this package implements it; Stream
-// validates the configuration.
-type Streamer interface {
-	Name() string
-	Stream() (StreamSampler, error)
-}
-
-// Collect runs a streaming sampler over a complete series and gathers its
-// output — the bridge from the streaming engine back to the paper's batch
-// formulation f -> []Sample. It deliberately drives the per-tick Offer
-// form: Collect is the reference run the batch fast paths are tested
-// against.
+// Collect runs a sampler over a complete series — one OfferBatch over
+// the whole of f, then Finish — and gathers its output: the paper's
+// batch formulation f -> []Sample.
 func Collect(s StreamSampler, f []float64) ([]Sample, error) {
 	if len(f) == 0 {
 		return nil, fmt.Errorf("core: cannot sample an empty series")
 	}
-	out := make([]Sample, 0, 16)
-	for i, v := range f {
-		if smp, ok := s.Offer(i, v); ok {
-			out = append(out, smp)
-		}
-	}
+	out := s.OfferBatch(0, f, make([]Sample, 0, 16))
 	tail, err := s.Finish()
 	if err != nil {
 		return nil, err
 	}
 	return append(out, tail...), nil
-}
-
-// sampleViaStream derives batch sampling from the streaming engine.
-func sampleViaStream(c Streamer, f []float64) ([]Sample, error) {
-	s, err := c.Stream()
-	if err != nil {
-		return nil, err
-	}
-	return Collect(s, f)
 }
 
 // IntervalForRate maps a sampling rate r in (0,1] to the base interval
@@ -101,25 +91,14 @@ type streamSystematic struct {
 // Name implements StreamSampler.
 func (p *streamSystematic) Name() string { return "systematic" }
 
-// Offer implements StreamSampler.
-func (p *streamSystematic) Offer(index int, value float64) (Sample, bool) {
-	t := p.tick
-	p.tick++
-	if t != p.next {
-		return Sample{}, false
-	}
-	p.next += p.interval
-	return Sample{Index: index, Value: value}, true
-}
-
-// OfferBatch implements BatchStreamer: the selected positions are known
-// in advance, so the batch form steps straight from kept tick to kept
+// OfferBatch implements StreamSampler: the selected positions are
+// known in advance, so the kernel steps straight from kept tick to kept
 // tick — interval-length jumps — instead of counting every tick.
 //
 //samplelint:hotpath
 func (p *streamSystematic) OfferBatch(startIndex int, values []float64, dst []Sample) []Sample {
-	// p.next never trails p.tick: Offer only advances it past the
-	// current tick, so the batch-relative offset is non-negative.
+	// p.next never trails p.tick: a batch only advances it past its
+	// last tick, so the batch-relative offset is non-negative.
 	off := p.next - p.tick
 	for off < len(values) {
 		dst = append(dst, Sample{Index: startIndex + off, Value: values[off]})
@@ -148,26 +127,10 @@ type streamStratified struct {
 // Name implements StreamSampler.
 func (p *streamStratified) Name() string { return "stratified" }
 
-// Offer implements StreamSampler.
-func (p *streamStratified) Offer(index int, value float64) (Sample, bool) {
-	pos := p.tick % p.interval
-	p.tick++
-	if pos == 0 {
-		p.pick = p.rng.IntN(p.interval)
-	}
-	if pos == p.pick {
-		p.pending = Sample{Index: index, Value: value}
-	}
-	if pos == p.interval-1 {
-		return p.pending, true
-	}
-	return Sample{}, false
-}
-
-// OfferBatch implements BatchStreamer: one draw when a stratum opens —
-// exactly the draw sequence of the per-tick form — then a direct index
-// computation for the pick and a jump to the stratum boundary, so the
-// per-stratum work is O(1) regardless of the interval.
+// OfferBatch implements StreamSampler: one draw when a stratum opens,
+// then a direct index computation for the pick and a jump to the
+// stratum boundary, so the per-stratum work is O(1) regardless of the
+// interval.
 //
 //samplelint:hotpath
 func (p *streamStratified) OfferBatch(startIndex int, values []float64, dst []Sample) []Sample {
@@ -203,8 +166,8 @@ func (p *streamStratified) Finish() ([]Sample, error) { return nil, nil }
 // Fixed size (n > 0) runs a Vitter-style reservoir with skip counts
 // (Algorithm L): the first n ticks fill the reservoir, then a single
 // geometric-tailed draw yields how many ticks to pass over before the
-// next replacement, so the per-tick work is a counter decrement and
-// memory is O(n) instead of the previous whole-stream buffer.
+// next replacement, so the kernel jumps from replacement to replacement
+// and memory is O(n) instead of a whole-stream buffer.
 //
 // Population-relative size (rate, when n == 0) cannot fix the sample
 // size until the stream ends, so it buffers the raw values — O(stream
@@ -231,36 +194,15 @@ type streamSimpleRandom struct {
 // Name implements StreamSampler.
 func (p *streamSimpleRandom) Name() string { return "simple-random" }
 
-// Offer implements StreamSampler.
-func (p *streamSimpleRandom) Offer(index int, value float64) (Sample, bool) {
-	if p.n == 0 {
-		if p.seen == 0 {
-			p.base = index
-		}
-		p.seen++
-		p.buf = append(p.buf, value)
-		return Sample{}, false
-	}
-	p.offerReservoir(index, value)
-	return Sample{}, false
-}
-
-// offerReservoir advances the fixed-n reservoir by one tick.
-func (p *streamSimpleRandom) offerReservoir(index int, value float64) {
+// fill admits one tick into the not-yet-full reservoir; the tick that
+// fills it seeds the Algorithm L threshold and the first skip.
+func (p *streamSimpleRandom) fill(index int, value float64) {
 	p.seen++
-	if len(p.res) < p.n {
-		p.res = append(p.res, Sample{Index: index, Value: value})
-		if len(p.res) == p.n {
-			p.w = math.Exp(math.Log(1-p.rng.Float64()) / float64(p.n))
-			p.skip = reservoirSkip(p.rng, p.w)
-		}
-		return
+	p.res = append(p.res, Sample{Index: index, Value: value})
+	if len(p.res) == p.n {
+		p.w = math.Exp(math.Log(1-p.rng.Float64()) / float64(p.n))
+		p.skip = reservoirSkip(p.rng, p.w)
 	}
-	if p.skip > 0 {
-		p.skip--
-		return
-	}
-	p.replace(index, value)
 }
 
 // replace admits the current tick into a uniformly chosen reservoir
@@ -272,7 +214,7 @@ func (p *streamSimpleRandom) replace(index int, value float64) {
 	p.skip = reservoirSkip(p.rng, p.w)
 }
 
-// OfferBatch implements BatchStreamer. Fixed-n mode jumps from
+// OfferBatch implements StreamSampler. Fixed-n mode jumps from
 // replacement to replacement; rate mode reduces to one bulk append of
 // the raw values (the whole batch is candidate state, nothing is
 // decidable before Finish). Neither regime emits mid-stream, so dst is
@@ -287,7 +229,7 @@ func (p *streamSimpleRandom) OfferBatch(startIndex int, values []float64, dst []
 	i, n := 0, len(values)
 	// Fill phase: at most p.n ticks ever take this path.
 	for i < n && len(p.res) < p.n {
-		p.offerReservoir(startIndex+i, values[i])
+		p.fill(startIndex+i, values[i])
 		i++
 	}
 	for i < n {
@@ -380,8 +322,8 @@ type streamBernoulli struct {
 }
 
 // newStreamBernoulli seeds the gap state: the first skip is drawn at
-// construction so Offer and OfferBatch share one well-defined draw
-// sequence.
+// construction, so the draw sequence does not depend on how the stream
+// is cut into batches.
 func newStreamBernoulli(rate float64, rng *Rand) *streamBernoulli {
 	p := &streamBernoulli{rate: rate, rng: rng, logq: math.Log1p(-rate)}
 	p.skip = geometricSkip(rng, p.logq)
@@ -391,17 +333,7 @@ func newStreamBernoulli(rate float64, rng *Rand) *streamBernoulli {
 // Name implements StreamSampler.
 func (p *streamBernoulli) Name() string { return "bernoulli" }
 
-// Offer implements StreamSampler.
-func (p *streamBernoulli) Offer(index int, value float64) (Sample, bool) {
-	if p.skip > 0 {
-		p.skip--
-		return Sample{}, false
-	}
-	p.skip = geometricSkip(p.rng, p.logq)
-	return Sample{Index: index, Value: value}, true
-}
-
-// OfferBatch implements BatchStreamer: hop from kept tick to kept tick,
+// OfferBatch implements StreamSampler: hop from kept tick to kept tick,
 // one geometric draw each, carrying the remainder of the final skip
 // into the next batch.
 //
@@ -422,11 +354,3 @@ func (p *streamBernoulli) OfferBatch(startIndex int, values []float64, dst []Sam
 
 // Finish implements StreamSampler.
 func (p *streamBernoulli) Finish() ([]Sample, error) { return nil, nil }
-
-// Interface compliance checks.
-var (
-	_ BatchStreamer = (*streamSystematic)(nil)
-	_ BatchStreamer = (*streamStratified)(nil)
-	_ BatchStreamer = (*streamSimpleRandom)(nil)
-	_ BatchStreamer = (*streamBernoulli)(nil)
-)

@@ -7,7 +7,7 @@ import (
 )
 
 // streamTestTrace is a deterministic heavy-tailed trace shared by the
-// stream-vs-batch equality tests.
+// seed-stability and batch-kernel tests.
 func streamTestTrace(n int) []float64 {
 	rng := dist.NewRand(20050608)
 	p := dist.Pareto{Alpha: 1.4, Xm: 1}
@@ -18,60 +18,29 @@ func streamTestTrace(n int) []float64 {
 	return f
 }
 
-// TestStreamMatchesBatchAllTechniques is the refactor's core invariant:
-// for every registered technique, feeding the streaming engine tick by
-// tick produces exactly the []Sample the batch adapter returns. Batch and
-// stream are built from the same spec (hence identically seeded random
-// sources) but are independent instances.
-func TestStreamMatchesBatchAllTechniques(t *testing.T) {
-	f := streamTestTrace(30000)
-	specs := []string{
-		"systematic:interval=37,offset=5",
-		"stratified:interval=41,seed=11",
-		"simple:n=500,seed=12",
-		"simple:rate=0.01,seed=13",
-		"bernoulli:rate=0.02,seed=14",
-		"bss:interval=40,L=6,eps=1.0",
-		"bss:interval=25,L=4,ath=5",
-		"bss:interval=100,L=12,eps=1.3,pre=20",
-		"bss:interval=50,L=5,eps=1.1,placement=chase",
+// config is a technique configuration: each builds a fresh kernel.
+type config interface {
+	Name() string
+	Stream() (StreamSampler, error)
+}
+
+// mustStream builds a fresh kernel from c.
+func mustStream(t *testing.T, c config) StreamSampler {
+	t.Helper()
+	s, err := c.Stream()
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, spec := range specs {
-		batchSampler, err := Lookup(spec)
-		if err != nil {
-			t.Fatalf("%s: %v", spec, err)
-		}
-		batch, err := batchSampler.Sample(f)
-		if err != nil {
-			t.Fatalf("%s: batch: %v", spec, err)
-		}
-		eng, err := LookupStream(spec)
-		if err != nil {
-			t.Fatalf("%s: %v", spec, err)
-		}
-		var online []Sample
-		for i, v := range f {
-			if smp, ok := eng.Offer(i, v); ok {
-				online = append(online, smp)
-			}
-		}
-		tail, err := eng.Finish()
-		if err != nil {
-			t.Fatalf("%s: finish: %v", spec, err)
-		}
-		online = append(online, tail...)
-		if len(online) != len(batch) {
-			t.Fatalf("%s: stream kept %d, batch kept %d", spec, len(online), len(batch))
-		}
-		for i := range batch {
-			if online[i] != batch[i] {
-				t.Fatalf("%s: sample %d differs: stream %+v vs batch %+v", spec, i, online[i], batch[i])
-			}
-		}
-		if len(batch) == 0 {
-			t.Errorf("%s: kept no samples", spec)
-		}
+	return s
+}
+
+// sampleOf runs a fresh kernel built from c over the whole of f.
+func sampleOf(c config, f []float64) ([]Sample, error) {
+	s, err := c.Stream()
+	if err != nil {
+		return nil, err
 	}
+	return Collect(s, f)
 }
 
 // TestStreamStratifiedDropsPartialStratum pins the batch rule in the
@@ -81,7 +50,7 @@ func TestStreamStratifiedDropsPartialStratum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.Sample(seq(25)) // strata [0,10) [10,20); [20,25) incomplete
+	got, err := sampleOf(s, seq(25)) // strata [0,10) [10,20); [20,25) incomplete
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,9 +78,7 @@ func TestStreamSimpleRandomErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 5; i++ {
-		eng2.Offer(i, 1)
-	}
+	eng2.OfferBatch(0, seq(5), nil)
 	if _, err := eng2.Finish(); err == nil {
 		t.Error("expected n > population error")
 	}
@@ -124,7 +91,7 @@ func TestSimpleRandomRate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.Sample(seq(5000))
+	got, err := sampleOf(s, seq(5000))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +106,7 @@ func TestSimpleRandomRate(t *testing.T) {
 	}
 }
 
-// TestCollectEmptySeries pins the adapter's empty-series error.
+// TestCollectEmptySeries pins Collect's empty-series error.
 func TestCollectEmptySeries(t *testing.T) {
 	eng, err := Systematic{Interval: 3}.Stream()
 	if err != nil {

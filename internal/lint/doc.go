@@ -36,7 +36,10 @@
 //     estimator ticks. fmt.Errorf is exempt: error construction is
 //     the cold path. Appends into a parameter (the strconv.Append*
 //     idiom), into a reslice (buf[:0]) or into a slice made locally
-//     with explicit capacity stay legal.
+//     with explicit capacity stay legal. It also flags a head-drop
+//     reslice of a field (x.f = x.f[k:] with a non-zero low bound),
+//     which strands the dropped capacity so the next append
+//     reallocates; a cursor keeps it.
 //
 //   - nanwire: an exported struct in the sampling package with a
 //     json-tagged plain float64 field must define MarshalJSON — the

@@ -27,14 +27,18 @@ const Directive = "//samplelint:hotpath"
 //   - uncapped append — growing a slice that is neither a function
 //     parameter (the strconv.Append*-style caller-owned buffer), a
 //     reslice like buf[:0] (the pooled-reuse idiom), nor made locally
-//     with an explicit capacity.
+//     with an explicit capacity;
+//   - head-drop reslice of a field (x.f = x.f[k:] with a non-zero low
+//     bound) — each drop strands capacity before the slice's new start,
+//     so draining a queue this way leaves nothing for the next append
+//     to reuse and it reallocates; consume through a cursor instead.
 //
 // fmt.Errorf is exempt, as are float64 arguments to any fmt call:
 // constructing an error is the cold path by definition, and the
 // S-family is already banned outright.
 var HotAlloc = &analysis.Analyzer{
 	Name: "hotalloc",
-	Doc:  "//samplelint:hotpath functions may not format, concatenate strings, box float64s, or grow slices with uncapped append",
+	Doc:  "//samplelint:hotpath functions may not format, concatenate strings, box float64s, grow slices with uncapped append, or drop a field slice's head by reslicing",
 	Run:  runHotAlloc,
 }
 
@@ -138,6 +142,13 @@ func checkHotAssign(pass *analysis.Pass, as *ast.AssignStmt) {
 		return
 	}
 	for i, lhs := range as.Lhs {
+		if isHeadDrop(pass, lhs, as.Rhs[i]) {
+			pass.Reportf(as.Rhs[i].Pos(),
+				"drops the head of %s by reslicing on a hot path — the dropped capacity is lost, so the next append reallocates; keep a cursor instead",
+				types.ExprString(lhs))
+		}
+	}
+	for i, lhs := range as.Lhs {
 		lt := pass.TypesInfo.TypeOf(lhs)
 		if lt == nil || !types.IsInterface(lt) {
 			continue
@@ -146,6 +157,26 @@ func checkHotAssign(pass *analysis.Pass, as *ast.AssignStmt) {
 			pass.Reportf(as.Rhs[i].Pos(), "boxes a float64 into an interface — the conversion heap-allocates on every tick")
 		}
 	}
+}
+
+// isHeadDrop reports whether lhs = rhs reslices a struct field from a
+// non-zero low bound into itself: x.f = x.f[k:].
+func isHeadDrop(pass *analysis.Pass, lhs, rhs ast.Expr) bool {
+	sel, ok := lhs.(*ast.SelectorExpr)
+	if !ok {
+		return false
+	}
+	if s, ok := pass.TypesInfo.Selections[sel]; !ok || s.Kind() != types.FieldVal {
+		return false
+	}
+	sl, ok := rhs.(*ast.SliceExpr)
+	if !ok || sl.Low == nil || types.ExprString(sl.X) != types.ExprString(sel) {
+		return false
+	}
+	if tv, ok := pass.TypesInfo.Types[sl.Low]; ok && tv.Value != nil && tv.Value.String() == "0" {
+		return false
+	}
+	return true
 }
 
 func checkHotAppend(pass *analysis.Pass, call *ast.CallExpr, params, capped map[types.Object]bool) {

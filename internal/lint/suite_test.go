@@ -171,7 +171,7 @@ func TestScopedPackagesExist(t *testing.T) {
 // statically backs must each carry at least one.
 func TestHotPathAnnotationsPresent(t *testing.T) {
 	root := moduleRoot(t)
-	for _, pkg := range []string{"sampling", "sampling/hub", "sampling/wire", "sampling/estimate", "internal/lrd", "internal/obs"} {
+	for _, pkg := range []string{"sampling", "sampling/hub", "sampling/wire", "sampling/estimate", "internal/core", "internal/lrd", "internal/obs"} {
 		dir := filepath.Join(root, filepath.FromSlash(pkg))
 		found := false
 		entries, err := os.ReadDir(dir)

@@ -73,6 +73,45 @@ func allowedReuseAppend(e *encoder, payload []byte) {
 
 type encoder struct{ buf []byte }
 
+// A head-drop reslice of a field strands its capacity: the shape of a
+// pending-probe queue drained one element at a time.
+//
+//samplelint:hotpath
+func flaggedHeadDrop(q *probeQueue, t int) bool {
+	if len(q.pending) > 0 && q.pending[0] == t {
+		q.pending = q.pending[1:] // want `drops the head of q\.pending`
+		return true
+	}
+	return false
+}
+
+// Any non-constant low bound drops the head too.
+//
+//samplelint:hotpath
+func flaggedHeadDropVar(q *probeQueue, k int) {
+	q.pending = q.pending[k:] // want `drops the head of q\.pending`
+}
+
+// A cursor keeps the capacity; truncating reslices ([:n], [0:n]) and
+// reslicing into a different slice stay legal.
+//
+//samplelint:hotpath
+func allowedCursor(q *probeQueue, t int) bool {
+	if q.cur < len(q.pending) && q.pending[q.cur] == t {
+		q.cur++
+		return true
+	}
+	q.pending = q.pending[:0]
+	q.pending = q.pending[0:len(q.pending)]
+	rest := q.pending[q.cur:]
+	return len(rest) > 0
+}
+
+type probeQueue struct {
+	pending []int
+	cur     int
+}
+
 // Constant folding happens at compile time; only runtime
 // concatenation allocates.
 //

@@ -52,14 +52,14 @@
 //
 // Ingest is batch-first: Engine.OfferBatch feeds a slice of ticks
 // under one lock acquisition and returns how many samples the batch
-// finalized. For every technique except BSS it dispatches to a
-// skip-based batch kernel (internal/core's BatchStreamer) that jumps
-// from kept tick to kept tick instead of visiting each element, so
-// batch ingest costs O(samples kept), not O(ticks seen) — with output
-// identical to the per-tick form under the same seed. Offer is the
-// single-tick convenience form — correct, but paying one lock per
-// tick — so hot loops (the hub, the sampled daemon, sampleload) stay
-// on the batch form:
+// finalized. Every technique runs as a skip-based batch kernel that
+// jumps from kept tick to kept tick instead of visiting each element —
+// BSS included, whose decisions fall only on base ticks and the extra
+// probes a trigger schedules — so batch ingest costs O(samples kept),
+// not O(ticks seen), and the output does not depend on how the stream
+// is cut into batches. Offer is a one-tick batch — correct, but paying
+// one lock per tick — so hot loops (the hub, the sampled daemon,
+// sampleload) stay on the batch form:
 //
 //	kept := eng.OfferBatch(ticks) // atomic w.r.t. Snapshot and Finish
 //

@@ -29,8 +29,9 @@ type Engine struct {
 	spec       Spec
 	specString string
 	impl       core.StreamSampler
-	batch      core.BatchStreamer // impl's skip-based batch fast path; nil when it has none
-	bbuf       []Sample           // per-batch scratch reused across OfferBatch calls
+	bbuf       []Sample   // per-batch scratch reused across OfferBatch calls
+	one        [1]float64 // Offer's one-tick batch and its output slot, so
+	oneOut     [1]Sample  // Offer never allocates
 	clock      func() time.Time
 	start      time.Time
 	budget     int
@@ -70,7 +71,7 @@ func New(spec Spec, opts ...Option) (*Engine, error) {
 	// The typed build path: parameters go to the technique's factory as
 	// the map they already are, never round-tripped through the string
 	// syntax (which would re-tokenize values containing ',' or '=').
-	impl, err := core.BuildStream(spec.Technique, spec.Params)
+	impl, err := core.Build(spec.Technique, spec.Params)
 	if err != nil {
 		return nil, err
 	}
@@ -83,10 +84,6 @@ func New(spec Spec, opts ...Option) (*Engine, error) {
 		start:      now,
 		budget:     cfg.budget,
 	}
-	// Techniques with a skip-based batch kernel are dispatched to it by
-	// OfferBatch; the two forms are state-machine equivalent, so the
-	// choice is invisible to callers.
-	e.batch, _ = impl.(core.BatchStreamer)
 	if cfg.estimator != "" {
 		// Already validated by WithEstimator; the two instances keep the
 		// input and kept-sample streams strictly separate.
@@ -118,90 +115,72 @@ func (e *Engine) Spec() Spec {
 // an earlier index when the technique defers its decision (stratified
 // picks, BSS probes). After Finish, Offer is a no-op returning false.
 //
-// Offer is the single-tick convenience form of OfferBatch: it pays one
-// mutex acquisition per tick, so ingest loops that already hold their
-// ticks in a slice should call OfferBatch instead (the hub, the sampled
+// Offer is OfferBatch over a one-tick batch: it pays one mutex
+// acquisition per tick, so ingest loops that already hold their ticks
+// in a slice should call OfferBatch instead (the hub, the sampled
 // daemon and sampleload all do).
 func (e *Engine) Offer(value float64) (Sample, bool) {
+	// No defer: on this per-tick path it costs more than the rest of
+	// the call for the cheap kernels, and nothing between Lock and
+	// Unlock returns early.
 	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.finished {
-		return Sample{}, false
+	e.one[0] = value
+	out := e.offer(e.one[:], e.oneOut[:0])
+	var s Sample
+	ok := len(out) > 0 // a single tick finalizes at most one sample
+	if ok {
+		s = out[0]
 	}
-	return e.offerOne(value)
+	e.mu.Unlock()
+	return s, ok
 }
 
 // OfferBatch presents a batch of ticks in stream order and returns how
 // many samples the batch finalized. It is the ingest hot path: the
-// engine mutex is acquired once for the whole batch and, when the
-// technique implements core.BatchStreamer, the whole batch is handed to
-// its skip-based kernel in one call — the kernel jumps from kept tick
-// to kept tick, so the per-tick cost is gone entirely for systematic,
-// stratified, Bernoulli and simple random sampling. Techniques without
-// a batch kernel (BSS) fall back to the per-tick loop under the same
-// single lock acquisition. Both paths are state-machine equivalent:
-// batches of any shape produce exactly the samples the per-tick Offer
-// form would (asserted in TestOfferBatchMatchesOffer).
+// engine mutex is acquired once for the whole batch, which is handed to
+// the technique's skip-based kernel in one call — the kernel jumps from
+// kept tick to kept tick, so ticks it passes over cost nothing. Batches
+// of any shape produce exactly the samples the per-tick Offer form
+// would (asserted in TestOfferBatchMatchesOffer).
 //
 // The batch is atomic with respect to Finish and Snapshot — an
 // observer sees either none or all of it. After Finish, OfferBatch is
 // a no-op returning 0.
 //
 //samplelint:hotpath
-func (e *Engine) OfferBatch(values []float64) (kept int) {
+func (e *Engine) OfferBatch(values []float64) int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	e.bbuf = e.offer(values, e.bbuf[:0])
+	return len(e.bbuf)
+}
+
+// offer runs one batch through the kernel and appends the samples it
+// finalized, up to the budget, to dst. Callers hold e.mu.
+//
+//samplelint:hotpath
+func (e *Engine) offer(values []float64, dst []Sample) []Sample {
 	if e.finished {
-		return 0
+		return dst
 	}
-	if e.batch == nil {
-		for _, v := range values {
-			if _, ok := e.offerOne(v); ok {
-				kept++
-			}
-		}
-		return kept
-	}
-	// Fast path. The input-side estimator still consumes every tick —
-	// it estimates the unsampled process — but its Tick is O(1) and
-	// allocation-free, so the loop stays cheap; the technique itself
-	// sees the batch once.
+	// The input-side estimator consumes every tick — it estimates the
+	// unsampled process — but its Tick is O(1) and allocation-free; the
+	// technique itself sees the batch once.
 	if e.estIn != nil {
 		for _, v := range values {
 			e.estIn.Tick(v)
 		}
 	}
-	e.bbuf = e.batch.OfferBatch(e.seen, values, e.bbuf[:0])
+	n := len(dst)
+	dst = e.impl.OfferBatch(e.seen, values, dst)
 	e.seen += len(values)
-	for _, s := range e.bbuf {
-		if e.budget > 0 && e.kept >= e.budget {
-			break
-		}
+	if e.budget > 0 {
+		dst = dst[:n+min(len(dst)-n, max(e.budget-e.kept, 0))]
+	}
+	for _, s := range dst[n:] {
 		e.record(s)
-		kept++
 	}
-	return kept
-}
-
-// offerOne advances the stream by one tick. Callers hold e.mu and have
-// checked e.finished.
-//
-//samplelint:hotpath
-func (e *Engine) offerOne(value float64) (Sample, bool) {
-	idx := e.seen
-	e.seen++
-	if e.estIn != nil {
-		e.estIn.Tick(value)
-	}
-	smp, ok := e.impl.Offer(idx, value)
-	if !ok {
-		return Sample{}, false
-	}
-	if e.budget > 0 && e.kept >= e.budget {
-		return Sample{}, false
-	}
-	e.record(smp)
-	return smp, true
+	return dst
 }
 
 //samplelint:hotpath
@@ -225,6 +204,11 @@ func (e *Engine) record(s Sample) {
 func (e *Engine) Finish() ([]Sample, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	return e.finish()
+}
+
+// finish is Finish with e.mu held.
+func (e *Engine) finish() ([]Sample, error) {
 	if e.finished {
 		return nil, e.finishErr
 	}
@@ -315,18 +299,16 @@ func ci95(acc *stats.Accumulator) (lo, hi float64) {
 // selected observation in index order — the paper's batch formulation
 // f -> []Sample, driven through the same streaming state machine so
 // batch and tick-by-tick use produce identical output. It must be the
-// engine's only use: Sample offers every element and then finalizes.
+// engine's only use: Sample offers every element and then finalizes,
+// under one lock acquisition.
 func (e *Engine) Sample(f []float64) ([]Sample, error) {
 	if len(f) == 0 {
 		return nil, fmt.Errorf("sampling: cannot sample an empty series")
 	}
-	out := make([]Sample, 0, 16)
-	for _, v := range f {
-		if s, ok := e.Offer(v); ok {
-			out = append(out, s)
-		}
-	}
-	tail, err := e.Finish()
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	out := e.offer(f, make([]Sample, 0, 16))
+	tail, err := e.finish()
 	if err != nil {
 		return nil, err
 	}

@@ -50,7 +50,7 @@ func TestEngineMatchesCoreBatch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := batch.Sample(f)
+		want, err := core.Collect(batch, f)
 		if err != nil {
 			t.Fatal(err)
 		}

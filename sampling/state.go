@@ -121,11 +121,7 @@ func restoreConfig(opts []Option) (config, error) {
 func (e *Engine) MarshalState() ([]byte, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	st, ok := e.impl.(core.StatefulSampler)
-	if !ok {
-		return nil, fmt.Errorf("sampling: technique %q does not expose kernel state", e.impl.Name())
-	}
-	kernel, err := st.AppendState(nil)
+	kernel, err := e.impl.AppendState(nil)
 	if err != nil {
 		return nil, fmt.Errorf("sampling: capture %q kernel state: %w", e.impl.Name(), err)
 	}
@@ -193,15 +189,11 @@ func restoreEngine(r *binenc.Reader, clock func() time.Time) (*Engine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sampling: engine state spec %q: %w", specString, err)
 	}
-	impl, err := core.BuildStream(spec.Technique, spec.Params)
+	impl, err := core.Build(spec.Technique, spec.Params)
 	if err != nil {
 		return nil, fmt.Errorf("sampling: rebuild %q from state: %w", specString, err)
 	}
-	st, ok := impl.(core.StatefulSampler)
-	if !ok {
-		return nil, fmt.Errorf("sampling: technique %q does not expose kernel state", impl.Name())
-	}
-	if err := st.RestoreState(kernel); err != nil {
+	if err := impl.RestoreState(kernel); err != nil {
 		return nil, fmt.Errorf("sampling: restore %q kernel state: %w", impl.Name(), err)
 	}
 	if seen < 0 || kept < 0 || qualified < 0 || budget < 0 {
@@ -226,7 +218,6 @@ func restoreEngine(r *binenc.Reader, clock func() time.Time) (*Engine, error) {
 		// opaque error so Summary.Err stays informative after a restart.
 		e.finishErr = errors.New(finishMsg)
 	}
-	e.batch, _ = impl.(core.BatchStreamer)
 	if e.estIn, err = readEstimator(r); err != nil {
 		return nil, err
 	}
