@@ -32,6 +32,18 @@ func TestProbeOffsetsSpread(t *testing.T) {
 			t.Errorf("offset %d = %d, want %d", i, got[i], want[i])
 		}
 	}
+	// An interval near MaxInt must not overflow j*C: every probe stays
+	// strictly inside the interval, ascending.
+	huge := BSS{Interval: math.MaxInt64 / 2, L: 4, Epsilon: 1}
+	got = huge.probeOffsets(0, nil)
+	if len(got) != 4 {
+		t.Fatalf("huge-interval offsets = %v, want 4", got)
+	}
+	for i, idx := range got {
+		if idx <= 0 || idx >= huge.Interval || (i > 0 && idx <= got[i-1]) {
+			t.Errorf("huge-interval offsets %v leave (0, %d) or repeat", got, huge.Interval)
+		}
+	}
 }
 
 // TestProbesTruncatedAtSeriesEnd checks that probes scheduled past the

@@ -97,6 +97,9 @@ func (b BSS) validate() error {
 // tick i, honoring the placement policy and skipping collisions. The
 // stream has no end, so out-of-range probes simply never arrive.
 func (b BSS) probeOffsets(i int, dst []int) []int {
+	// j*C/(L+1) split as j*q + j*r/(L+1) with C = q(L+1)+r: the same
+	// floor, without overflowing j*C for an interval near MaxInt.
+	q, r := b.Interval/(b.L+1), b.Interval%(b.L+1)
 	prev := i
 	for j := 1; j <= b.L; j++ {
 		var idx int
@@ -106,7 +109,7 @@ func (b BSS) probeOffsets(i int, dst []int) []int {
 				break
 			}
 		} else {
-			idx = i + j*b.Interval/(b.L+1)
+			idx = i + j*q + j*r/(b.L+1)
 		}
 		if idx == prev {
 			continue

@@ -147,8 +147,6 @@ func checkHotAssign(pass *analysis.Pass, as *ast.AssignStmt) {
 				"drops the head of %s by reslicing on a hot path — the dropped capacity is lost, so the next append reallocates; keep a cursor instead",
 				types.ExprString(lhs))
 		}
-	}
-	for i, lhs := range as.Lhs {
 		lt := pass.TypesInfo.TypeOf(lhs)
 		if lt == nil || !types.IsInterface(lt) {
 			continue

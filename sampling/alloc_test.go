@@ -3,10 +3,11 @@ package sampling
 import "testing"
 
 // TestOfferBatchZeroAlloc pins every technique kernel to zero
-// allocations per batch once warm: a 512-tick batch of heavy-tailed
-// traffic through Engine.OfferBatch must not touch the heap. Warm-up
-// grows the engine's scratch buffer, fills the reservoir and lets BSS
-// lay out its first extra probes; from then on every buffer is reused.
+// allocations once warm: a 512-tick batch of heavy-tailed traffic
+// through Engine.OfferBatch, or one tick through Offer, must not touch
+// the heap. Warm-up grows the engine's scratch buffer, fills the
+// reservoir and lets BSS lay out its first extra probes; from then on
+// every buffer is reused.
 //
 // Rate-mode simple random sampling ("simple:rate=...") is left out on
 // purpose: it buffers every tick until Finish, so its candidate buffer
@@ -38,6 +39,14 @@ func TestOfferBatchZeroAlloc(t *testing.T) {
 		}
 		if allocs := testing.AllocsPerRun(200, next); allocs != 0 {
 			t.Errorf("%s: %v allocs per warm %d-tick OfferBatch, want 0", spec, allocs, batch)
+		}
+		// Offer is a one-tick batch through the same path.
+		tick := func() {
+			eng.Offer(f[off])
+			off = (off + 1) % len(f)
+		}
+		if allocs := testing.AllocsPerRun(2000, tick); allocs != 0 {
+			t.Errorf("%s: %v allocs per Offer, want 0", spec, allocs)
 		}
 	}
 }
