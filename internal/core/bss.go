@@ -120,9 +120,6 @@ func (b BSS) probeOffsets(i int, dst []int) []int {
 	return dst
 }
 
-// Name identifies the technique.
-func (b BSS) Name() string { return "bss" }
-
 // Stream validates the configuration and returns a fresh kernel.
 func (b BSS) Stream() (StreamSampler, error) { return NewStreamBSS(b) }
 

@@ -34,8 +34,8 @@ func TestBSSValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.Name() != "bss" {
-		t.Errorf("name = %q", b.Name())
+	if name := mustStream(t, b).Name(); name != "bss" {
+		t.Errorf("name = %q", name)
 	}
 	if _, err := sampleOf(b, nil); err == nil {
 		t.Error("expected error for empty series")

@@ -43,9 +43,6 @@ func NewSystematic(interval, offset int) (Systematic, error) {
 	return s, nil
 }
 
-// Name identifies the technique.
-func (s Systematic) Name() string { return "systematic" }
-
 // Stream validates the configuration and returns a fresh kernel.
 func (s Systematic) Stream() (StreamSampler, error) {
 	if err := s.validate(); err != nil {
@@ -80,9 +77,6 @@ func NewStratified(interval int, rng *Rand) (Stratified, error) {
 	}
 	return s, nil
 }
-
-// Name identifies the technique.
-func (s Stratified) Name() string { return "stratified" }
 
 // Stream validates the configuration and returns a fresh kernel.
 func (s Stratified) Stream() (StreamSampler, error) {
@@ -130,9 +124,6 @@ func NewSimpleRandomRate(rate float64, rng *Rand) (SimpleRandom, error) {
 	return s, nil
 }
 
-// Name identifies the technique.
-func (s SimpleRandom) Name() string { return "simple-random" }
-
 // Stream validates the configuration and returns a fresh kernel. The
 // fixed-size form (N > 0) runs a skip-based reservoir in O(N) memory;
 // the population-relative form buffers the raw values and draws at
@@ -178,9 +169,6 @@ func NewBernoulli(rate float64, rng *Rand) (Bernoulli, error) {
 	}
 	return b, nil
 }
-
-// Name identifies the technique.
-func (s Bernoulli) Name() string { return "bernoulli" }
 
 // Stream validates the configuration and returns a fresh kernel.
 func (s Bernoulli) Stream() (StreamSampler, error) {

@@ -28,8 +28,8 @@ func TestSystematicValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Name() != "systematic" {
-		t.Errorf("name = %q", s.Name())
+	if name := mustStream(t, s).Name(); name != "systematic" {
+		t.Errorf("name = %q", name)
 	}
 	if _, err := sampleOf(Systematic{Interval: 0}, seq(8)); err == nil {
 		t.Error("Sample should re-validate")
@@ -106,8 +106,8 @@ func TestStratifiedValidation(t *testing.T) {
 		t.Error("expected error for nil rng")
 	}
 	s, _ := NewStratified(4, newRand(1))
-	if s.Name() != "stratified" {
-		t.Errorf("name = %q", s.Name())
+	if name := mustStream(t, s).Name(); name != "stratified" {
+		t.Errorf("name = %q", name)
 	}
 	if _, err := sampleOf(s, nil); err == nil {
 		t.Error("expected error for empty series")
@@ -153,8 +153,8 @@ func TestSimpleRandomValidation(t *testing.T) {
 		t.Error("expected error for nil rng")
 	}
 	s, _ := NewSimpleRandom(10, newRand(1))
-	if s.Name() != "simple-random" {
-		t.Errorf("name = %q", s.Name())
+	if name := mustStream(t, s).Name(); name != "simple-random" {
+		t.Errorf("name = %q", name)
 	}
 	if _, err := sampleOf(s, seq(5)); err == nil {
 		t.Error("expected error for n > population")
@@ -198,8 +198,8 @@ func TestBernoulliSampling(t *testing.T) {
 		t.Error("expected error for nil rng")
 	}
 	b, _ := NewBernoulli(0.25, newRand(3))
-	if b.Name() != "bernoulli" {
-		t.Errorf("name = %q", b.Name())
+	if name := mustStream(t, b).Name(); name != "bernoulli" {
+		t.Errorf("name = %q", name)
 	}
 	f := seq(100000)
 	got, err := sampleOf(b, f)
@@ -252,7 +252,7 @@ func TestAllSamplersAreUnbiasedOnIID(t *testing.T) {
 	for _, s := range samplers {
 		m := MeanOf(mustSample(t, s, f))
 		if math.Abs(m-trueMean) > 0.35 {
-			t.Errorf("%s: mean %g vs true %g", s.Name(), m, trueMean)
+			t.Errorf("%T: mean %g vs true %g", s, m, trueMean)
 		}
 	}
 }
@@ -261,7 +261,7 @@ func mustSample(t *testing.T, s config, f []float64) []Sample {
 	t.Helper()
 	got, err := sampleOf(s, f)
 	if err != nil {
-		t.Fatalf("%s: %v", s.Name(), err)
+		t.Fatalf("%T: %v", s, err)
 	}
 	return got
 }

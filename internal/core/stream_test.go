@@ -20,7 +20,6 @@ func streamTestTrace(n int) []float64 {
 
 // config is a technique configuration: each builds a fresh kernel.
 type config interface {
-	Name() string
 	Stream() (StreamSampler, error)
 }
 
