@@ -243,8 +243,8 @@ func BenchmarkRegistryLookup(b *testing.B) {
 // raw core StreamSampler; these benchmarks track that tax and the cost
 // of live observation itself.
 
-// BenchmarkPublicEngineStream is the per-tick cost a pipeline probe
-// pays: one Offer, a one-tick batch, per tick.
+// BenchmarkPublicEngineStream is the per-tick cost a tick-at-a-time
+// caller pays: one Offer, a one-tick batch, per tick.
 func BenchmarkPublicEngineStream(b *testing.B) {
 	f := samplerBenchTrace()
 	for _, tc := range samplerBenchSpecs {

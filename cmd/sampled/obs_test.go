@@ -98,6 +98,46 @@ func TestObservabilitySurface(t *testing.T) {
 	}
 }
 
+// TestGroupIngestObserved: JSON and text ticks posted to a group land
+// in the per-wire ingest histograms exactly as stream ticks do — both
+// routes share one ticks handler.
+func TestGroupIngestObserved(t *testing.T) {
+	srv := httptest.NewServer(newServer(hub.New(), 0, 0))
+	defer srv.Close()
+	client := srv.Client()
+
+	if code, body := doJSON(t, client, http.MethodPut, srv.URL+"/v1/groups/g",
+		map[string]any{"specs": []string{"systematic:interval=2", "bernoulli:rate=0.5"}}); code != http.StatusCreated {
+		t.Fatalf("PUT group: %d %s", code, body)
+	}
+	if code, body := doJSON(t, client, http.MethodPost, srv.URL+"/v1/groups/g/ticks",
+		[]float64{1, 2, 3, 4, 5}); code != http.StatusOK {
+		t.Fatalf("POST group ticks: %d %s", code, body)
+	}
+	resp, err := client.Post(srv.URL+"/v1/groups/g/ticks", "text/plain", strings.NewReader("6 7 8"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("text POST to group: %d", resp.StatusCode)
+	}
+
+	_, metrics := getBody(t, client, srv.URL+"/metrics")
+	for _, want := range []string{
+		`sampled_ingest_batch_ticks_count{wire="json"} 1`,
+		`sampled_ingest_batch_ticks_sum{wire="json"} 5`,
+		`sampled_ingest_decode_seconds_count{wire="text"} 1`,
+		`sampled_ingest_batch_ticks_sum{wire="text"} 3`,
+		"sampled_group_ticks_total 8\n",
+		"sampled_ticks_total 0\n",
+	} {
+		if !strings.Contains(metrics, want) {
+			t.Errorf("metrics lacks %q", want)
+		}
+	}
+}
+
 // TestDebugEvents exercises the flight recorder endpoint: requests
 // appear newest first, an error request carries its status and the
 // response body as detail.

@@ -146,16 +146,16 @@ func newServer(h *hub.Hub, maxBody int64, hurstEvery time.Duration, opts ...serv
 		{"POST /v1/streams/{id}/ticks", "", http.HandlerFunc(s.offerTicks)},
 		{"GET /v1/streams/{id}/snapshot", "", http.HandlerFunc(s.snapshot)},
 		{"GET /v1/streams/{id}/hurst", "", http.HandlerFunc(s.hurst)},
-		{"GET /v1/streams/{id}/state", "", http.HandlerFunc(s.streamState)},
-		{"PUT /v1/streams/{id}/state", "", http.HandlerFunc(s.putStreamState)},
-		{"DELETE /v1/streams/{id}/state", "", http.HandlerFunc(s.detachStreamState)},
+		{"GET /v1/streams/{id}/state", "", http.HandlerFunc(s.state)},
+		{"PUT /v1/streams/{id}/state", "", s.putState(s.hub.RestoreStream)},
+		{"DELETE /v1/streams/{id}/state", "", http.HandlerFunc(s.detachState)},
 		{"DELETE /v1/streams/{id}", "", http.HandlerFunc(s.finishStream)},
 		{"GET /v1/streams", "", http.HandlerFunc(s.listStreams)},
 		{"PUT /v1/groups/{id}", "", http.HandlerFunc(s.createGroup)},
-		{"POST /v1/groups/{id}/ticks", "", http.HandlerFunc(s.offerGroupTicks)},
-		{"GET /v1/groups/{id}/state", "", http.HandlerFunc(s.groupState)},
-		{"PUT /v1/groups/{id}/state", "", http.HandlerFunc(s.putGroupState)},
-		{"DELETE /v1/groups/{id}/state", "", http.HandlerFunc(s.detachGroupState)},
+		{"POST /v1/groups/{id}/ticks", "", http.HandlerFunc(s.offerTicks)},
+		{"GET /v1/groups/{id}/state", "", http.HandlerFunc(s.state)},
+		{"PUT /v1/groups/{id}/state", "", s.putState(s.hub.RestoreGroupState)},
+		{"DELETE /v1/groups/{id}/state", "", http.HandlerFunc(s.detachState)},
 		{"GET /v1/groups/{id}", "", http.HandlerFunc(s.groupSnapshot)},
 		{"DELETE /v1/groups/{id}", "", http.HandlerFunc(s.finishGroup)},
 		{"GET /v1/groups", "", http.HandlerFunc(s.listGroups)},
@@ -477,14 +477,17 @@ func (s *server) readTicksObserved(w http.ResponseWriter, r *http.Request) ([]fl
 	return values, true
 }
 
-// offerTicks ingests one batch into a stream. Ticks within one stream
-// must be posted sequentially; batches for different streams are fully
-// concurrent. A Content-Type of application/x-tickbatch switches the
-// body to binary tick-batch frames (any number, back to back); JSON
-// and whitespace text stay as before.
+// offerTicks ingests one batch into the stream or group the URL names
+// (POST /v1/streams/{id}/ticks and /v1/groups/{id}/ticks alike: the
+// hub has one ingest path for both kinds). For a group, "kept" counts
+// samples across all members, so it can exceed "accepted". Ticks for
+// one id must be posted sequentially; batches for different ids are
+// fully concurrent. A Content-Type of application/x-tickbatch switches
+// the body to binary tick-batch frames (any number, back to back);
+// otherwise the body is JSON or whitespace text.
 func (s *server) offerTicks(w http.ResponseWriter, r *http.Request) {
 	if isTickBatch(r) {
-		s.offerFrames(w, r, s.hub.OfferBatch)
+		s.offerFrames(w, r)
 		return
 	}
 	values, ok := s.readTicksObserved(w, r)
@@ -529,11 +532,11 @@ func writeWireError(w http.ResponseWriter, err error) {
 }
 
 // offerFrames ingests a body of binary frames into the URL-addressed
-// stream (or group, via the offer argument). Each frame decodes into a
-// pooled []float64 handed straight to OfferBatch; a frame-embedded id,
-// when present, must match the URL. Nothing is echoed per frame — one
-// summary response covers the whole body.
-func (s *server) offerFrames(w http.ResponseWriter, r *http.Request, offer func(string, []float64) (int, error)) {
+// stream or group. Each frame decodes into a pooled []float64 handed
+// straight to OfferBatch; a frame-embedded id, when present, must match
+// the URL. Nothing is echoed per frame — one summary response covers
+// the whole body.
+func (s *server) offerFrames(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	dec := s.decoder(http.MaxBytesReader(w, r.Body, s.maxBody))
 	defer s.decoders.Put(dec)
@@ -554,7 +557,7 @@ func (s *server) offerFrames(w http.ResponseWriter, r *http.Request, offer func(
 				"error": fmt.Sprintf("frame names stream %q but the URL names %q", frameID, id)})
 			return
 		}
-		k, err := offer(id, values)
+		k, err := s.hub.OfferBatch(id, values)
 		if err != nil {
 			writeError(w, err)
 			return
@@ -569,7 +572,7 @@ func (s *server) offerFrames(w http.ResponseWriter, r *http.Request, offer func(
 	if frames == 0 {
 		// An empty body still names a stream; surface a 404 for a ghost
 		// the way an empty text body does.
-		if _, err := offer(id, nil); err != nil {
+		if _, err := s.hub.OfferBatch(id, nil); err != nil {
 			writeError(w, err)
 			return
 		}
@@ -587,8 +590,10 @@ type sessionResponse struct {
 
 // session is the persistent streaming ingest mode: one long-lived POST
 // whose body is an unbounded sequence of binary frames, each routed to
-// the stream its embedded id names — connection setup, routing and
-// response costs are paid once per session instead of once per batch.
+// the stream or group its embedded id names (one hub namespace and one
+// OfferBatch, so a session can feed both kinds) — connection setup,
+// routing and response costs are paid once per session instead of
+// once per batch.
 // Frames are offered as they arrive, so observers see the stream grow
 // mid-session; the response (totals, or the first error) comes when
 // the client closes its body. The body is deliberately not size-capped
@@ -743,27 +748,6 @@ func (s *server) createGroup(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusCreated, cmp)
-}
-
-// offerGroupTicks ingests one batch into every member of a group; body
-// formats as for stream ticks, including binary tick-batch frames.
-// "kept" counts samples across all members, so it can exceed
-// "accepted".
-func (s *server) offerGroupTicks(w http.ResponseWriter, r *http.Request) {
-	if isTickBatch(r) {
-		s.offerFrames(w, r, s.hub.OfferGroupBatch)
-		return
-	}
-	values, ok := s.readTicks(w, r)
-	if !ok {
-		return
-	}
-	kept, err := s.hub.OfferGroupBatch(r.PathValue("id"), values)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, offerResponse{Accepted: len(values), Kept: kept})
 }
 
 // groupSnapshot serves the live comparison document: the unsampled

@@ -682,6 +682,65 @@ func TestGroupEndpoints(t *testing.T) {
 	}
 }
 
+// TestSharedNamespace: streams and groups share one id namespace over
+// HTTP. A create of either kind over a live id of the other is a 409,
+// the state routes serve and detach either kind, and the kind-specific
+// views still 404 on the other kind.
+func TestSharedNamespace(t *testing.T) {
+	srv := httptest.NewServer(newServer(hub.New(), 0, 0))
+	defer srv.Close()
+	client := srv.Client()
+	stream := map[string]any{"spec": "systematic:interval=2"}
+	group := map[string]any{"specs": []string{"systematic:interval=2", "bernoulli:rate=0.5,seed=1"}}
+
+	if code, body := doJSON(t, client, http.MethodPut, srv.URL+"/v1/streams/x", stream); code != http.StatusCreated {
+		t.Fatalf("PUT stream x: %d %s", code, body)
+	}
+	if code, body := doJSON(t, client, http.MethodPut, srv.URL+"/v1/groups/x", group); code != http.StatusConflict {
+		t.Errorf("PUT group over stream x: %d %s, want 409", code, body)
+	}
+	if code, body := doJSON(t, client, http.MethodPut, srv.URL+"/v1/groups/y", group); code != http.StatusCreated {
+		t.Fatalf("PUT group y: %d %s", code, body)
+	}
+	if code, body := doJSON(t, client, http.MethodPut, srv.URL+"/v1/streams/y", stream); code != http.StatusConflict {
+		t.Errorf("PUT stream over group y: %d %s, want 409", code, body)
+	}
+	if code, body := doJSON(t, client, http.MethodGet, srv.URL+"/v1/streams/y/snapshot", nil); code != http.StatusNotFound {
+		t.Errorf("stream snapshot of group y: %d %s, want 404", code, body)
+	}
+	if code, body := doJSON(t, client, http.MethodGet, srv.URL+"/v1/groups/x", nil); code != http.StatusNotFound {
+		t.Errorf("group snapshot of stream x: %d %s, want 404", code, body)
+	}
+
+	// GET state answers under either prefix with the same blob.
+	code, viaGroups := doJSON(t, client, http.MethodGet, srv.URL+"/v1/groups/y/state", nil)
+	if code != http.StatusOK || len(viaGroups) == 0 {
+		t.Fatalf("GET group state: %d", code)
+	}
+	if code, viaStreams := doJSON(t, client, http.MethodGet, srv.URL+"/v1/streams/y/state", nil); code != http.StatusOK || !bytes.Equal(viaStreams, viaGroups) {
+		t.Errorf("GET /v1/streams/y/state: %d, same blob %v", code, bytes.Equal(viaStreams, viaGroups))
+	}
+	// DELETE state detaches either kind; the id is then free for both.
+	code, streamBlob := doJSON(t, client, http.MethodDelete, srv.URL+"/v1/groups/x/state", nil)
+	if code != http.StatusOK || len(streamBlob) == 0 {
+		t.Fatalf("DELETE /v1/groups/x/state of a stream: %d", code)
+	}
+	if code, body := doJSON(t, client, http.MethodPut, srv.URL+"/v1/groups/x", group); code != http.StatusCreated {
+		t.Errorf("PUT group x after detach: %d %s", code, body)
+	}
+	// Installing the detached stream back over what is now a group is a
+	// 409 too.
+	req, _ := http.NewRequest(http.MethodPut, srv.URL+"/v1/streams/x/state", bytes.NewReader(streamBlob))
+	resp, err := client.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusConflict {
+		t.Errorf("PUT stream state over group x: %d, want 409", resp.StatusCode)
+	}
+}
+
 // TestGroupGoldenSnapshot pins the served comparison document: with a
 // fake clock and a deterministic stream, the bytes coming off the wire
 // must equal the marshaled form of an identically driven in-process

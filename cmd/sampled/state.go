@@ -51,10 +51,16 @@ func (s *server) readyz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ready"})
 }
 
-// streamState exports one stream's exact engine state
-// (GET /v1/streams/{id}/state) without disturbing it.
-func (s *server) streamState(w http.ResponseWriter, r *http.Request) {
-	blob, err := s.hub.StreamState(r.PathValue("id"))
+// state exports the exact state of the stream or group the URL names
+// (GET /v1/streams/{id}/state and /v1/groups/{id}/state alike) without
+// disturbing it.
+func (s *server) state(w http.ResponseWriter, r *http.Request) {
+	blob, err := s.hub.State(r.PathValue("id"))
+	writeBlob(w, blob, err)
+}
+
+// writeBlob sends a binary state blob, or the error raised in its place.
+func writeBlob(w http.ResponseWriter, blob []byte, err error) {
 	if err != nil {
 		writeError(w, err)
 		return
@@ -75,68 +81,33 @@ func (s *server) readStateBody(w http.ResponseWriter, r *http.Request) ([]byte, 
 	return buf.Bytes(), true
 }
 
-// putStreamState installs an exported engine-state blob as a new
-// stream (PUT /v1/streams/{id}/state) — the receiving half of a
-// handoff. The id must not be live; a corrupt blob is a 400.
-func (s *server) putStreamState(w http.ResponseWriter, r *http.Request) {
-	blob, ok := s.readStateBody(w, r)
-	if !ok {
-		return
+// putState builds the handler that installs an exported state blob as
+// a new entity through restore (PUT /v1/streams/{id}/state with
+// hub.RestoreStream, /v1/groups/{id}/state with hub.RestoreGroupState)
+// — the receiving half of a handoff. The id must not be live as either
+// kind; a corrupt blob is a 400.
+func (s *server) putState(restore func(id string, state []byte) error) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		blob, ok := s.readStateBody(w, r)
+		if !ok {
+			return
+		}
+		id := r.PathValue("id")
+		if err := restore(id, blob); err != nil {
+			writeError(w, err)
+			return
+		}
+		writeJSON(w, http.StatusCreated, map[string]string{"id": id, "status": "restored"})
 	}
-	id := r.PathValue("id")
-	if err := s.hub.RestoreStream(id, blob); err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusCreated, map[string]string{"id": id, "status": "restored"})
 }
 
-// detachStreamState removes a stream without finalizing it and
-// returns its final engine state (DELETE /v1/streams/{id}/state) —
-// the sending half of a handoff, atomic against concurrent ticks.
-func (s *server) detachStreamState(w http.ResponseWriter, r *http.Request) {
+// detachState removes the stream or group the URL names without
+// finalizing it and returns its final state (DELETE
+// /v1/{streams,groups}/{id}/state) — the sending half of a handoff,
+// atomic against concurrent ticks.
+func (s *server) detachState(w http.ResponseWriter, r *http.Request) {
 	blob, err := s.hub.Detach(r.PathValue("id"))
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Write(blob)
-}
-
-// groupState, putGroupState and detachGroupState mirror the stream
-// state resource for the group namespace.
-func (s *server) groupState(w http.ResponseWriter, r *http.Request) {
-	blob, err := s.hub.GroupState(r.PathValue("id"))
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Write(blob)
-}
-
-func (s *server) putGroupState(w http.ResponseWriter, r *http.Request) {
-	blob, ok := s.readStateBody(w, r)
-	if !ok {
-		return
-	}
-	id := r.PathValue("id")
-	if err := s.hub.RestoreGroupState(id, blob); err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusCreated, map[string]string{"id": id, "status": "restored"})
-}
-
-func (s *server) detachGroupState(w http.ResponseWriter, r *http.Request) {
-	blob, err := s.hub.DetachGroup(r.PathValue("id"))
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Write(blob)
+	writeBlob(w, blob, err)
 }
 
 // checkpointer owns the -checkpoint-dir lifecycle around one hub.

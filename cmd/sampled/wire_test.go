@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/sampling"
 	"repro/sampling/hub"
 	"repro/sampling/wire"
 )
@@ -208,6 +209,78 @@ func TestSessionIngest(t *testing.T) {
 	}
 	fail("anonymous frame", mustFrame(t, "", []float64{1}), http.StatusBadRequest)
 	fail("ghost stream", mustFrame(t, "ghost", []float64{1}), http.StatusNotFound)
+}
+
+// TestSessionFeedsGroups: one session body interleaves frames for a
+// stream and for a five-technique comparison group. The group's served
+// comparison must be byte-identical to an in-process sampling.Group fed
+// the same frames, and the stream must see only its own frames.
+func TestSessionFeedsGroups(t *testing.T) {
+	at := time.Date(2026, 7, 27, 12, 0, 0, 0, time.UTC)
+	clock := func() time.Time { return at }
+	srv := httptest.NewServer(newServer(hub.New(hub.WithClock(clock)), 0, 0))
+	defer srv.Close()
+	client := srv.Client()
+
+	specs := []string{
+		"systematic:interval=7,offset=3",
+		"stratified:interval=5,seed=101",
+		"simple:n=20,seed=4",
+		"bernoulli:rate=0.2,seed=102",
+		"bss:interval=10,L=3,eps=0.5",
+	}
+	if code, body := doJSON(t, client, http.MethodPut, srv.URL+"/v1/groups/cmp",
+		map[string]any{"specs": specs, "estimator": "aggvar"}); code != http.StatusCreated {
+		t.Fatalf("PUT group: %d %s", code, body)
+	}
+	if code, body := doJSON(t, client, http.MethodPut, srv.URL+"/v1/streams/solo",
+		map[string]any{"spec": "systematic:interval=2"}); code != http.StatusCreated {
+		t.Fatalf("PUT stream: %d %s", code, body)
+	}
+
+	parsed := make([]sampling.Spec, len(specs))
+	for i, sp := range specs {
+		parsed[i] = sampling.MustParse(sp)
+	}
+	ref, err := sampling.NewGroup(parsed, sampling.WithEstimator("aggvar"), sampling.WithClock(clock))
+	if err != nil {
+		t.Fatal(err)
+	}
+	series := heavyTailedSeries(8, 3000)
+	var body []byte
+	for off := 0; off < len(series); off += 500 {
+		frame := series[off : off+500]
+		body = append(body, mustFrame(t, "cmp", frame)...)
+		body = append(body, mustFrame(t, "solo", frame[:10])...)
+		ref.OfferBatch(frame)
+	}
+	code, data := postRaw(t, client, srv.URL+"/v1/session", wire.ContentType, body)
+	if code != http.StatusOK {
+		t.Fatalf("session: %d %s", code, data)
+	}
+	var resp sessionResponse
+	if err := json.Unmarshal(data, &resp); err != nil {
+		t.Fatal(err)
+	}
+	if resp.Frames != 12 || resp.Accepted != 3060 {
+		t.Errorf("session totals: %+v, want frames=12 accepted=3060", resp)
+	}
+
+	code, served := doJSON(t, client, http.MethodGet, srv.URL+"/v1/groups/cmp", nil)
+	if code != http.StatusOK {
+		t.Fatalf("GET group: %d %s", code, served)
+	}
+	want, err := json.Marshal(ref.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.TrimSpace(string(served)); got != string(want) {
+		t.Errorf("session-fed group differs from the in-process group:\n got %s\nwant %s", got, want)
+	}
+	code, data = doJSON(t, client, http.MethodGet, srv.URL+"/v1/streams/solo/snapshot", nil)
+	if code != http.StatusOK || !strings.Contains(string(data), `"seen":60`) {
+		t.Errorf("stream beside the group: %d %s, want seen=60", code, data)
+	}
 }
 
 // TestWireEquivalence is the cross-wire contract: the same tick series

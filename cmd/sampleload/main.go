@@ -133,9 +133,6 @@ func (c loadConfig) checkWire() error {
 	if c.direct && c.wire != "" && c.wire != "json" {
 		return fmt.Errorf("-wire %s selects an HTTP encoding; it has no meaning with -direct", c.wire)
 	}
-	if c.compare != "" && c.wireName() == "session" {
-		return fmt.Errorf("-wire session routes frames by stream id; comparison groups are not addressable in a session (use json, text or binary)")
-	}
 	return nil
 }
 
@@ -215,7 +212,7 @@ func run(args []string, out io.Writer) error {
 	fs.StringVar(&cfg.compare, "compare", "",
 		`";"-separated sampler specs: drive comparison groups instead of single-technique streams and report a per-technique fidelity table (e.g. "systematic:interval=100;bss:interval=100,L=5,eps=1.0")`)
 	fs.StringVar(&cfg.wire, "wire", "json",
-		"HTTP ingest encoding: json, text, binary (one tick-batch frame per POST) or session (one long-lived frame stream per sampling stream)")
+		"HTTP ingest encoding: json, text, binary (one tick-batch frame per POST) or session (one long-lived frame stream per stream or group)")
 	fs.StringVar(&cfg.traffic, "traffic", "fgn", "traffic model: fgn or onoff")
 	fs.Float64Var(&cfg.hurst, "hurst", 0.8, "Hurst parameter of the generated traffic")
 	fs.Uint64Var(&cfg.seed, "seed", 1, "traffic generator seed")
@@ -323,7 +320,7 @@ func (d directDriver) createGroup(id string, specs []sampling.Spec, estimator es
 	return d.hub.CreateGroup(id, specs)
 }
 func (d directDriver) offerGroup(id string, batch []float64) (int, error) {
-	return d.hub.OfferGroupBatch(id, batch)
+	return d.offer(id, batch)
 }
 func (d directDriver) comparison(id string) (sampling.Comparison, error) {
 	return d.hub.GroupSnapshot(id)
@@ -343,7 +340,7 @@ type httpDriver struct {
 
 	// Ingest encoders reuse buffers: bufs pools the per-batch encode
 	// buffers of the text and binary wires, sessions holds one
-	// long-lived frame stream per sampling stream for the session wire
+	// long-lived frame stream per stream or group for the session wire
 	// (opened lazily on first offer, closed and harvested by drain).
 	// sessClient has no timeout — a session lives as long as its
 	// stream's ingest does.
@@ -486,7 +483,7 @@ func (d *httpDriver) offer(id string, batch []float64) (int, error) {
 	return parseKept(data)
 }
 
-// offerSession writes one frame into the stream's long-lived session
+// offerSession writes one frame into the id's long-lived session
 // connection. Kept counts are only known when the session closes, so
 // every offer reports 0 and drain folds the daemon's total in.
 func (d *httpDriver) offerSession(id string, batch []float64) (int, error) {
@@ -599,7 +596,13 @@ func (d *httpDriver) createGroup(id string, specs []sampling.Spec, estimator est
 	return err
 }
 
+// offerGroup posts one batch to a group. The session wire needs no
+// group route: frames are routed by id, and the daemon's one namespace
+// resolves a group id as readily as a stream id.
 func (d *httpDriver) offerGroup(id string, batch []float64) (int, error) {
+	if d.wire == "session" {
+		return d.offerSession(id, batch)
+	}
 	data, err := d.postBatch(d.base+"/v1/groups/"+id+"/ticks", batch)
 	if err != nil {
 		return 0, err

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
@@ -202,8 +203,8 @@ func TestHTTPLoad(t *testing.T) {
 	if want := int64(cfg.streams * cfg.ticks / 50); res.kept != want {
 		t.Errorf("kept %d samples, want %d", res.kept, want)
 	}
-	if h.Len() != 0 {
-		t.Errorf("%d streams left behind on the daemon", h.Len())
+	if len(h.List()) != 0 {
+		t.Errorf("%d streams left behind on the daemon", len(h.List()))
 	}
 	t.Logf("http mode: %.3g ticks/s aggregate", res.ticksPerSec())
 }
@@ -239,8 +240,8 @@ func TestHTTPLoadWires(t *testing.T) {
 			if want := int64(cfg.streams * cfg.ticks / 50); res.kept != want {
 				t.Errorf("kept %d samples, want %d", res.kept, want)
 			}
-			if h.Len() != 0 {
-				t.Errorf("%d streams left behind on the daemon", h.Len())
+			if len(h.List()) != 0 {
+				t.Errorf("%d streams left behind on the daemon", len(h.List()))
 			}
 			if !strings.Contains(buf.String(), "("+w+" wire)") {
 				t.Errorf("run output does not name the wire:\n%s", buf.String())
@@ -261,15 +262,15 @@ func TestCheckWire(t *testing.T) {
 		{direct: true},
 		{direct: true, wire: "json"},
 		{compare: "a;b", wire: "binary"},
+		{compare: "a;b", wire: "session"},
 	} {
 		if err := ok.checkWire(); err != nil {
 			t.Errorf("checkWire(%+v) = %v, want nil", ok, err)
 		}
 	}
 	for name, bad := range map[string]loadConfig{
-		"unknown wire":         {wire: "carrier-pigeon"},
-		"direct with binary":   {direct: true, wire: "binary"},
-		"compare with session": {compare: "a;b", wire: "session"},
+		"unknown wire":       {wire: "carrier-pigeon"},
+		"direct with binary": {direct: true, wire: "binary"},
 	} {
 		if err := bad.checkWire(); err == nil {
 			t.Errorf("%s accepted", name)
@@ -502,7 +503,7 @@ func groupFakeDaemon(h *hub.Hub) http.Handler {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		kept, err := h.OfferGroupBatch(r.PathValue("id"), values)
+		kept, err := h.OfferBatch(r.PathValue("id"), values)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusNotFound)
 			return
@@ -596,6 +597,34 @@ func TestCompareHTTP(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "(h-drift needs an estimator") {
 		t.Errorf("estimator-off note missing:\n%s", buf.String())
+	}
+}
+
+// TestCompareSession drives -compare over the session wire: group
+// frames ride the same /v1/session connections as stream frames, and
+// the kept totals folded in at drain must equal what the groups' own
+// comparison documents count.
+func TestCompareSession(t *testing.T) {
+	h := hub.New()
+	srv := httptest.NewServer(groupFakeDaemon(h))
+	defer srv.Close()
+	const compare = "systematic:interval=50;stratified:interval=50;bernoulli:rate=0.02"
+	var buf bytes.Buffer
+	if err := run([]string{"-addr", srv.URL, "-streams", "3", "-ticks", "4000", "-batch", "500",
+		"-workers", "2", "-wire", "session", "-compare", compare, "-seed", "3", "-estimator", "off"}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	out := buf.String()
+	for _, want := range []string{"(session wire)", "12000 input ticks", "systematic:interval=50                 2.000%"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("output missing %q:\n%s", want, out)
+		}
+	}
+	if st := h.Stats(); st.Groups != 0 || st.GroupsCreated != 3 || st.GroupTicks != 12000 || st.Ticks != 0 {
+		t.Errorf("session ingest did not reach the groups: %+v", st)
+	}
+	if want := fmt.Sprintf("kept:     %d samples", h.Stats().GroupKept); !strings.Contains(out, want) {
+		t.Errorf("reported kept total differs from the daemon's (%q):\n%s", want, out)
 	}
 }
 

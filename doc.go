@@ -60,9 +60,8 @@
 // the substrates it stands on — FFT/wavelets (internal/dsp), statistics
 // (internal/stats), heavy-tailed distributions (internal/dist),
 // long-range dependence and Hurst estimation (internal/lrd), traffic
-// models and packet-trace synthesis (internal/traffic), trace I/O
-// (internal/trace) and a concurrent router-monitor pipeline with live
-// snapshotting probes (internal/pipeline) — are each their own package.
+// models and packet-trace synthesis (internal/traffic) and trace I/O
+// (internal/trace) — are each their own package.
 // internal/experiments reproduces every figure of the paper's
 // evaluation; cmd/figures regenerates them and bench_test.go benchmarks
 // each one.

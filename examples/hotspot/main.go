@@ -1,25 +1,54 @@
-// Hotspot detection: run the concurrent router-monitor pipeline over a
-// synthesized OD-flow packet trace with an injected DoS-like burst, and
-// show a threshold alarm probe spotting it from sampled data — the
-// short-term monitoring use case the paper's introduction motivates.
-// While the monitor runs, a watcher goroutine snapshots the BSS probe
-// mid-stream: the pipeline is a live monitor, not a batch job.
+// Hotspot detection: feed a synthesized OD-flow packet trace with an
+// injected DoS-like burst, binned into 50 ms ticks, to a comparison
+// group (systematic vs BSS) batch by batch, and show a threshold alarm
+// spotting the burst from sampled data — the short-term monitoring use
+// case the paper's introduction motivates. Between batches the group is
+// snapshotted mid-stream: it is a live monitor, not a batch job.
 //
 //	go run ./examples/hotspot
 package main
 
 import (
-	"context"
 	"fmt"
 	"log"
 	"sort"
-	"sync"
 
 	"repro/internal/dist"
-	"repro/internal/pipeline"
 	"repro/internal/stats"
 	"repro/internal/traffic"
+	"repro/sampling"
 )
+
+// alarm raises a flag when the mean of the last window sampled ticks
+// exceeds level. It samples systematically — every interval-th tick —
+// so its cost stays bounded however fast the link runs.
+type alarm struct {
+	interval int
+	level    float64
+	window   []float64 // the last cap(window) sampled values, oldest first
+	sampled  int       // ticks sampled so far
+	fired    []int     // tick indices where the rolling mean exceeded level
+}
+
+func newAlarm(interval, window int, level float64) *alarm {
+	return &alarm{interval: interval, level: level, window: make([]float64, 0, window)}
+}
+
+// offer feeds one batch of ticks whose first tick has index start.
+func (a *alarm) offer(start int, ticks []float64) {
+	first := (start + a.interval - 1) / a.interval * a.interval
+	for idx := first; idx < start+len(ticks); idx += a.interval {
+		if len(a.window) == cap(a.window) {
+			copy(a.window, a.window[1:])
+			a.window = a.window[:len(a.window)-1]
+		}
+		a.window = append(a.window, ticks[idx-start])
+		a.sampled++
+		if len(a.window) == cap(a.window) && stats.Mean(a.window) > a.level {
+			a.fired = append(a.fired, idx)
+		}
+	}
+}
 
 func main() {
 	log.SetFlags(0)
@@ -53,78 +82,45 @@ func main() {
 	baseline := stats.Mean(f)
 	fmt.Printf("trace: %d packets, %d bins, mean rate %.3g bytes/s\n", len(pkts), len(f), baseline)
 
-	// Probes: a systematic estimator, a BSS estimator, and an alarm that
+	// Two estimators side by side on the same ticks, and an alarm that
 	// fires when a 5-sample rolling mean of every 4th bin exceeds 3x the
 	// long-run mean.
-	sys, err := pipeline.NewSpecProbe("systematic", "systematic:interval=4")
+	grp, err := sampling.NewGroup([]sampling.Spec{
+		sampling.MustParse("systematic:interval=4"),
+		sampling.MustParse("bss:interval=4,L=2,eps=2.5"),
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	bss, err := pipeline.NewSpecProbe("bss", "bss:interval=4,L=2,eps=2.5")
-	if err != nil {
-		log.Fatal(err)
-	}
-	alarm, err := pipeline.NewThresholdAlarmProbe("alarm", 4, 5, 3*baseline)
-	if err != nil {
-		log.Fatal(err)
-	}
-	mon, err := pipeline.NewMonitor(sys, bss, alarm)
-	if err != nil {
-		log.Fatal(err)
+	al := newAlarm(4, 5, 3*baseline)
+
+	// Live observation: one batch per 30 s of trace time, with a
+	// snapshot after each. Snapshot never finalizes the group, so
+	// watching changes nothing downstream.
+	const batch = 600
+	for start := 0; start < len(f); start += batch {
+		ticks := f[start:min(start+batch, len(f))]
+		grp.OfferBatch(ticks)
+		al.offer(start, ticks)
+		bss := grp.Snapshot().Members[1].Summary
+		fmt.Printf("live: t~%4.0fs  bss kept %4d of %4d ticks, running mean %.3g\n",
+			float64(bss.Seen)*granularity, bss.Kept, bss.Seen, bss.Mean)
 	}
 
-	// Live observation: snapshot the BSS probe as ticks flow. Snapshot
-	// never finalizes the engine, so watching changes nothing downstream.
-	ticks := make(chan pipeline.Tick, 256)
-	watcher := make(chan struct{})
-	var watch sync.WaitGroup
-	watch.Add(1)
-	go func() {
-		defer watch.Done()
-		seen := 0
-		for range watcher {
-			s := bss.Snapshot()
-			if s.Seen >= seen+600 { // roughly every 30 s of trace time
-				seen = s.Seen
-				fmt.Printf("live: t~%4.0fs  bss kept %4d of %4d ticks, running mean %.3g\n",
-					float64(s.Seen)*granularity, s.Kept, s.Seen, s.Mean)
-			}
-		}
-	}()
-	go func() {
-		defer close(watcher)
-		src := make(chan pipeline.Tick, 256)
-		go func() {
-			if _, err := pipeline.BinTicks(context.Background(), pkts, granularity, src); err != nil {
-				log.Fatal(err)
-			}
-		}()
-		for t := range src {
-			ticks <- t
-			select {
-			case watcher <- struct{}{}:
-			default:
-			}
-		}
-		close(ticks)
-	}()
-	reports, err := mon.Run(context.Background(), ticks)
-	if err != nil {
-		log.Fatal(err)
+	cmp := grp.Snapshot()
+	fmt.Printf("\n%-12s  %8s  %10s  %10s  %10s\n", "probe", "kept", "mean", "mean-bias", "qualified")
+	fmt.Printf("%-12s  %8d  %10.3g  %10s  %10s\n", "input", cmp.Seen, cmp.Mean, "", "")
+	for _, m := range cmp.Members {
+		s := m.Summary
+		fmt.Printf("%-12s  %8d  %10.3g  %+10.3f  %10d\n", s.Technique, s.Kept, s.Mean, m.Fidelity.MeanBias, s.Qualified)
 	}
-	watch.Wait()
+	fmt.Printf("%-12s  %8d\n", "alarm", al.sampled)
 
-	fmt.Printf("\n%-12s  %8s  %10s  %10s\n", "probe", "kept", "mean", "qualified")
-	for _, r := range reports {
-		fmt.Printf("%-12s  %8d  %10.3g  %10d\n", r.Name, r.Kept, r.Mean, r.Qualified)
+	if len(al.fired) == 0 {
+		log.Fatal("the alarm missed the injected hot spot")
 	}
-
-	alarms := alarm.Alarms()
-	if len(alarms) == 0 {
-		log.Fatal("the alarm probe missed the injected hot spot")
-	}
-	first := float64(alarms[0]) * granularity
-	last := float64(alarms[len(alarms)-1]) * granularity
+	first := float64(al.fired[0]) * granularity
+	last := float64(al.fired[len(al.fired)-1]) * granularity
 	fmt.Printf("\nhot spot injected at t=60..65s; alarm fired %d times between t=%.1fs and t=%.1fs\n",
-		len(alarms), first, last)
+		len(al.fired), first, last)
 }

@@ -123,11 +123,10 @@ func (b BSS) probeOffsets(i int, dst []int) []int {
 // Stream validates the configuration and returns a fresh kernel.
 func (b BSS) Stream() (StreamSampler, error) { return NewStreamBSS(b) }
 
-// StreamBSS is the BSS state machine, behind Collect, the sampling
-// engine and the pipeline probes. Base samples (Qualified=false) are
-// emitted unconditionally; extra probes are emitted, Qualified=true,
-// only when they exceed the threshold in force at the triggering base
-// sample.
+// StreamBSS is the BSS state machine, behind Collect and the sampling
+// engine. Base samples (Qualified=false) are emitted unconditionally;
+// extra probes are emitted, Qualified=true, only when they exceed the
+// threshold in force at the triggering base sample.
 //
 // The zero value is not usable; construct with NewStreamBSS.
 type StreamBSS struct {

@@ -3,14 +3,15 @@
 // sampling.Engine and a measurement service watching thousands of
 // traffic streams at once. Alongside plain streams it hosts comparison
 // groups (sampling.Group): one input stream fanned out to several
-// techniques, snapshot as a sampling.Comparison. Groups live in their
-// own id namespace (CreateGroup/OfferGroupBatch/GroupSnapshot/
-// FinishGroup) with the same lifecycle, eviction and typed errors as
-// streams.
+// techniques, snapshot as a sampling.Comparison. Streams and groups
+// share one id namespace and one lifecycle: one table, one ingest path
+// (OfferBatch), one state export (State, Detach), one eviction sweep and
+// one checkpoint. Only construction and the typed views (Snapshot/
+// GroupSnapshot, Finish/FinishGroup, List/ListGroups) are per kind.
 //
-// A Hub is lock-striped: stream ids hash onto a fixed set of shards,
-// each with its own mutex and stream table, so operations on unrelated
-// streams never contend on a shared lock. The engines themselves are
+// A Hub is lock-striped: ids hash onto a fixed set of shards, each with
+// its own mutex and entry table, so operations on unrelated streams
+// never contend on a shared lock. The engines themselves are
 // concurrent-safe, which keeps the shard locks to map lookups only: the
 // hot path (OfferBatch) holds a shard read lock just long enough to
 // resolve the id.
@@ -33,64 +34,77 @@ import (
 	"repro/sampling"
 )
 
-// The typed failure modes of stream lookup and creation; branch with
+// The typed failure modes of lookup and creation; branch with
 // errors.Is. Engine construction failures keep their own types
 // (sampling.ErrUnknownTechnique, *sampling.ParamError).
 var (
-	// ErrStreamExists is wrapped by Create when the id is already live.
+	// ErrStreamExists is wrapped by the constructors when the id is
+	// already live, as a stream or as a group.
 	ErrStreamExists = errors.New("stream already exists")
 	// ErrStreamNotFound is wrapped by operations on unknown (or already
-	// finished, or evicted) stream ids.
+	// finished, or evicted) ids, and by the kind-specific views when the
+	// id names the other kind.
 	ErrStreamNotFound = errors.New("stream not found")
-	// ErrInvalidID is wrapped by Create when the stream id is unusable
+	// ErrInvalidID is wrapped by the constructors when the id is unusable
 	// (empty) — a caller mistake, not a lookup miss.
 	ErrInvalidID = errors.New("invalid stream id")
 )
 
-// stream is one live engine plus the bookkeeping the hub needs around
-// it. lastActive is atomic so the ingest path can stamp it and Sweep can
-// read it without taking any lock.
-type stream struct {
-	engine     *sampling.Engine
-	lastActive atomic.Int64 // unix nanoseconds of the last Create/OfferBatch
+// kind tells the two entity kinds apart: it indexes the per-kind
+// counters and lets the kind-specific views refuse the other kind.
+type kind uint8
+
+const (
+	kindStream kind = iota // a single-technique *sampling.Engine
+	kindGroup              // a comparison *sampling.Group
+	numKinds
+)
+
+var kindNames = [numKinds]string{"stream", "group"}
+
+// entity is what the hub needs of a live sampler, whatever its kind:
+// batch ingest, the finished check of the offer race, and exact state
+// export. *sampling.Engine and *sampling.Group both satisfy it.
+type entity interface {
+	OfferBatch(values []float64) int
+	Finished() bool
+	MarshalState() ([]byte, error)
 }
 
-// groupStream is one live comparison group, the group-id namespace's
-// counterpart of stream.
-type groupStream struct {
-	group      *sampling.Group
-	lastActive atomic.Int64 // unix nanoseconds of the last CreateGroup/OfferGroupBatch
+// entry is one live id: its entity plus the bookkeeping the hub needs
+// around it. lastActive is atomic so the ingest path can stamp it and
+// Sweep can read it without taking any lock.
+type entry struct {
+	ent        entity
+	kind       kind
+	lastActive atomic.Int64 // unix nanoseconds of the last create/restore/OfferBatch
 }
 
-// shard is one stripe of the hub: mutex-guarded stream and group tables
-// plus cumulative tick/kept counters. The counters are atomics and
-// survive stream removal, so aggregate Stats stays cheap and monotonic.
-// Stream and group counters are separate — a group tick fans out to N
-// engines, so folding the two together would make neither rate
-// meaningful.
+// shard is one stripe of the hub: a mutex-guarded entry table plus
+// cumulative tick/kept counters. The counters are atomics and survive
+// entry removal, so aggregate Stats stays cheap and monotonic. Every
+// counter is kept per kind — a group tick fans out to N engines, so
+// folding the two together would make neither rate meaningful.
 type shard struct {
-	mu         sync.RWMutex
-	streams    map[string]*stream
-	groups     map[string]*groupStream
-	ticks      atomic.Int64
-	kept       atomic.Int64
-	groupTicks atomic.Int64
-	groupKept  atomic.Int64
+	mu      sync.RWMutex
+	entries map[string]*entry
+	live    [numKinds]int // live entries per kind, guarded by mu
+	ticks   [numKinds]atomic.Int64
+	kept    [numKinds]atomic.Int64
 }
 
-// Hub manages a set of named sampling streams across lock-striped
-// shards. The zero value is not usable; build hubs with New.
+// Hub manages a set of named sampling streams and comparison groups
+// across lock-striped shards. The zero value is not usable; build hubs
+// with New.
 type Hub struct {
-	shards        []shard
-	mask          uint64
-	clock         func() time.Time
-	ttl           time.Duration
-	evictHook     func(Eviction)
-	start         time.Time
-	created       atomic.Int64
-	evicted       atomic.Int64
-	groupsCreated atomic.Int64
-	groupsEvicted atomic.Int64
+	shards    []shard
+	mask      uint64
+	clock     func() time.Time
+	ttl       time.Duration
+	evictHook func(Eviction)
+	start     time.Time
+	created   [numKinds]atomic.Int64
+	evicted   [numKinds]atomic.Int64
 }
 
 // Option configures a Hub at construction; see New.
@@ -113,7 +127,7 @@ func WithShards(n int) Option {
 	}
 }
 
-// WithIdleTTL sets the idle threshold used by Sweep: streams that have
+// WithIdleTTL sets the idle threshold used by Sweep: entries that have
 // not received ticks (or been created) for longer than ttl are evicted.
 // Zero, the default, disables eviction. Snapshots do not count as
 // activity — a stream kept alive only by its observers is dead.
@@ -136,15 +150,14 @@ func New(opts ...Option) *Hub {
 		opt(h)
 	}
 	for i := range h.shards {
-		h.shards[i].streams = make(map[string]*stream)
-		h.shards[i].groups = make(map[string]*groupStream)
+		h.shards[i].entries = make(map[string]*entry)
 	}
 	h.mask = uint64(len(h.shards) - 1)
 	h.start = h.clock()
 	return h
 }
 
-// shardOf hashes a stream id onto its stripe (FNV-1a).
+// shardOf hashes an id onto its stripe (FNV-1a).
 func (h *Hub) shardOf(id string) *shard {
 	const (
 		offset64 = 14695981039346656037
@@ -158,87 +171,156 @@ func (h *Hub) shardOf(id string) *shard {
 	return &h.shards[hash&h.mask]
 }
 
-// get resolves a live stream (and its shard, so hot paths hash the id
-// exactly once) or fails with ErrStreamNotFound.
-func (h *Hub) get(id string) (*shard, *stream, error) {
+// get resolves a live entry of either kind (and its shard, so hot paths
+// hash the id exactly once) or fails with ErrStreamNotFound.
+func (h *Hub) get(id string) (*shard, *entry, error) {
 	sh := h.shardOf(id)
 	sh.mu.RLock()
-	st := sh.streams[id]
+	e := sh.entries[id]
 	sh.mu.RUnlock()
-	if st == nil {
-		return nil, nil, fmt.Errorf("hub: stream %q: %w", id, ErrStreamNotFound)
+	if e == nil {
+		return nil, nil, fmt.Errorf("hub: %q: %w", id, ErrStreamNotFound)
 	}
-	return sh, st, nil
+	return sh, e, nil
+}
+
+// view resolves a live entry of kind k; an id held by the other kind is
+// not found, so each kind's views keep seeing only their own kind.
+func (h *Hub) view(id string, k kind) (*entry, error) {
+	_, e, err := h.get(id)
+	if err == nil && e.kind != k {
+		err = fmt.Errorf("hub: %q is a %s, not a %s: %w", id, kindNames[e.kind], kindNames[k], ErrStreamNotFound)
+	}
+	return e, err
+}
+
+// insert registers ent under id as a kind-k entry stamped active at
+// now, failing with ErrStreamExists when the id is live as either kind.
+func (h *Hub) insert(id string, k kind, ent entity, now int64) error {
+	e := &entry{ent: ent, kind: k}
+	e.lastActive.Store(now)
+	sh := h.shardOf(id)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if dup := sh.entries[id]; dup != nil {
+		return fmt.Errorf("hub: %s %q: %w", kindNames[dup.kind], id, ErrStreamExists)
+	}
+	sh.entries[id] = e
+	sh.live[k]++
+	return nil
+}
+
+// remove unregisters id when it is live as kind k.
+func (h *Hub) remove(id string, k kind) (*shard, *entry, error) {
+	sh := h.shardOf(id)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	e := sh.entries[id]
+	if e == nil || e.kind != k {
+		return nil, nil, fmt.Errorf("hub: %s %q: %w", kindNames[k], id, ErrStreamNotFound)
+	}
+	delete(sh.entries, id)
+	sh.live[k]--
+	return sh, e, nil
+}
+
+// add is the one constructor path: it validates the id, builds the
+// entity and registers it as a freshly created kind-k entry.
+func (h *Hub) add(id string, k kind, build func() (entity, error)) error {
+	if id == "" {
+		return fmt.Errorf("hub: empty %s id: %w", kindNames[k], ErrInvalidID)
+	}
+	ent, err := build()
+	if err != nil {
+		return err
+	}
+	if err := h.insert(id, k, ent, h.clock().UnixNano()); err != nil {
+		return err
+	}
+	h.created[k].Add(1)
+	return nil
+}
+
+// withClock appends the hub's clock to the caller's options, so an
+// entity's snapshots tick on the hub's clock and fake-clock tests see
+// consistent time everywhere. It copies first: the caller's slice may
+// have spare capacity that must not be written into.
+func (h *Hub) withClock(opts []sampling.Option) []sampling.Option {
+	all := make([]sampling.Option, 0, len(opts)+1)
+	return append(append(all, opts...), sampling.WithClock(h.clock))
 }
 
 // Create builds a fresh engine from the spec (plus engine options, e.g.
 // sampling.WithSeed or WithBudget) and registers it under id. The id
-// must be non-empty and not yet live; engine construction failures pass
-// through with their types intact (sampling.ErrUnknownTechnique,
-// *sampling.ParamError), so a service can map them to client errors.
+// must be non-empty and not yet live as a stream or a group; engine
+// construction failures pass through with their types intact
+// (sampling.ErrUnknownTechnique, *sampling.ParamError), so a service can
+// map them to client errors.
 func (h *Hub) Create(id string, spec sampling.Spec, opts ...sampling.Option) error {
-	if id == "" {
-		return fmt.Errorf("hub: empty stream id: %w", ErrInvalidID)
-	}
-	// The engine's snapshots must tick on the hub's clock so fake-clock
-	// tests see consistent time everywhere. Copy before appending: the
-	// caller's slice may have spare capacity we must not write into.
-	all := make([]sampling.Option, 0, len(opts)+1)
-	all = append(append(all, opts...), sampling.WithClock(h.clock))
-	eng, err := sampling.New(spec, all...)
-	if err != nil {
-		return err
-	}
-	st := &stream{engine: eng}
-	st.lastActive.Store(h.clock().UnixNano())
-	sh := h.shardOf(id)
-	sh.mu.Lock()
-	if _, dup := sh.streams[id]; dup {
-		sh.mu.Unlock()
-		return fmt.Errorf("hub: stream %q: %w", id, ErrStreamExists)
-	}
-	sh.streams[id] = st
-	sh.mu.Unlock()
-	h.created.Add(1)
-	return nil
+	return h.add(id, kindStream, func() (entity, error) {
+		return sampling.New(spec, h.withClock(opts)...)
+	})
 }
 
-// OfferBatch feeds a batch of ticks to a stream in order and returns
-// how many samples the batch finalized. It is the hot path: the shard
-// lock covers only the id lookup, and the whole batch runs under one
-// acquisition of the engine's lock (Engine.OfferBatch), never one per
-// tick. Ticks within one stream must come from a single goroutine
-// (batches from concurrent writers would interleave unpredictably);
-// batches for different streams run fully in parallel.
+// CreateGroup builds a comparison group from the specs (one member
+// engine per spec; options as in sampling.NewGroup, so WithEstimator
+// attaches the shared input-side estimator) and registers it under id.
+// Streams and groups share one id namespace; the failure modes are
+// Create's.
+func (h *Hub) CreateGroup(id string, specs []sampling.Spec, opts ...sampling.Option) error {
+	return h.add(id, kindGroup, func() (entity, error) {
+		return sampling.NewGroup(specs, h.withClock(opts)...)
+	})
+}
+
+// OfferBatch feeds a batch of ticks in order to the stream or group
+// registered under id and returns how many samples the batch finalized
+// (across all members, for a group). It is the hot path: the shard lock
+// covers only the id lookup, and the whole batch runs under one
+// acquisition of the entity's lock, never one per tick. Ticks for one
+// id must come from a single goroutine (batches from concurrent writers
+// would interleave unpredictably); batches for different ids run fully
+// in parallel. A group's tick counter counts input ticks, not input x
+// members.
 //
 //samplelint:hotpath
 func (h *Hub) OfferBatch(id string, values []float64) (kept int, err error) {
-	sh, st, err := h.get(id)
+	sh, e, err := h.get(id)
 	if err != nil {
 		return 0, err
 	}
-	kept = st.engine.OfferBatch(values)
-	// A concurrent Finish (or Sweep eviction) around the batch turns
-	// Engine.OfferBatch into a silent no-op; without this check the
+	kept = e.ent.OfferBatch(values)
+	// A concurrent Finish (or Sweep eviction) around the batch turns the
+	// entity's OfferBatch into a silent no-op; without this check the
 	// batch would report success and count ticks no engine saw. The
-	// batch itself is atomic under the engine lock, so Finish can no
+	// batch itself is atomic under the entity lock, so Finish can no
 	// longer land mid-batch.
-	if st.engine.Finished() {
-		return kept, fmt.Errorf("hub: stream %q: finished while offering: %w", id, ErrStreamNotFound)
+	if e.ent.Finished() {
+		return kept, fmt.Errorf("hub: %s %q: finished while offering: %w", kindNames[e.kind], id, ErrStreamNotFound)
 	}
-	st.lastActive.Store(h.clock().UnixNano())
-	sh.ticks.Add(int64(len(values)))
-	sh.kept.Add(int64(kept))
+	e.lastActive.Store(h.clock().UnixNano())
+	sh.ticks[e.kind].Add(int64(len(values)))
+	sh.kept[e.kind].Add(int64(kept))
 	return kept, nil
 }
 
 // Snapshot returns the stream's live summary without disturbing it.
 func (h *Hub) Snapshot(id string) (sampling.Summary, error) {
-	_, st, err := h.get(id)
+	e, err := h.view(id, kindStream)
 	if err != nil {
 		return sampling.Summary{}, err
 	}
-	return st.engine.Snapshot(), nil
+	return e.ent.(*sampling.Engine).Snapshot(), nil
+}
+
+// GroupSnapshot returns the group's live comparison without disturbing
+// it.
+func (h *Hub) GroupSnapshot(id string) (sampling.Comparison, error) {
+	e, err := h.view(id, kindGroup)
+	if err != nil {
+		return sampling.Comparison{}, err
+	}
+	return e.ent.(*sampling.Group).Snapshot(), nil
 }
 
 // Finish ends a stream: the engine is finalized, the samples only
@@ -247,96 +329,14 @@ func (h *Hub) Snapshot(id string) (sampling.Summary, error) {
 // failed finalization (an engine deferred error) still removes the
 // stream and reports the error in both the return and the summary.
 func (h *Hub) Finish(id string) ([]sampling.Sample, sampling.Summary, error) {
-	sh := h.shardOf(id)
-	sh.mu.Lock()
-	st := sh.streams[id]
-	delete(sh.streams, id)
-	sh.mu.Unlock()
-	if st == nil {
-		return nil, sampling.Summary{}, fmt.Errorf("hub: stream %q: %w", id, ErrStreamNotFound)
-	}
-	tail, err := st.engine.Finish()
-	sh.kept.Add(int64(len(tail)))
-	return tail, st.engine.Snapshot(), err
-}
-
-// getGroup resolves a live group (and its shard) or fails with
-// ErrStreamNotFound. Groups live in their own id namespace: a group and
-// a stream may share an id without colliding.
-func (h *Hub) getGroup(id string) (*shard, *groupStream, error) {
-	sh := h.shardOf(id)
-	sh.mu.RLock()
-	gs := sh.groups[id]
-	sh.mu.RUnlock()
-	if gs == nil {
-		return nil, nil, fmt.Errorf("hub: group %q: %w", id, ErrStreamNotFound)
-	}
-	return sh, gs, nil
-}
-
-// CreateGroup builds a comparison group from the specs (one member
-// engine per spec; options as in sampling.NewGroup, so WithEstimator
-// attaches the shared input-side estimator) and registers it under id
-// in the group namespace. Failure modes mirror Create: ErrInvalidID,
-// ErrStreamExists for a live group id, and engine construction errors
-// with their types intact.
-func (h *Hub) CreateGroup(id string, specs []sampling.Spec, opts ...sampling.Option) error {
-	if id == "" {
-		return fmt.Errorf("hub: empty group id: %w", ErrInvalidID)
-	}
-	all := make([]sampling.Option, 0, len(opts)+1)
-	all = append(append(all, opts...), sampling.WithClock(h.clock))
-	grp, err := sampling.NewGroup(specs, all...)
+	sh, e, err := h.remove(id, kindStream)
 	if err != nil {
-		return err
+		return nil, sampling.Summary{}, err
 	}
-	gs := &groupStream{group: grp}
-	gs.lastActive.Store(h.clock().UnixNano())
-	sh := h.shardOf(id)
-	sh.mu.Lock()
-	if _, dup := sh.groups[id]; dup {
-		sh.mu.Unlock()
-		return fmt.Errorf("hub: group %q: %w", id, ErrStreamExists)
-	}
-	sh.groups[id] = gs
-	sh.mu.Unlock()
-	h.groupsCreated.Add(1)
-	return nil
-}
-
-// OfferGroupBatch feeds a batch of ticks to every member of a group in
-// order and returns how many samples the batch finalized across all
-// members. The ingest contract matches OfferBatch: one writer per
-// group, any number of concurrent observers, batches for different
-// groups fully parallel. The group's tick counter counts input ticks,
-// not input x members.
-//
-//samplelint:hotpath
-func (h *Hub) OfferGroupBatch(id string, values []float64) (kept int, err error) {
-	sh, gs, err := h.getGroup(id)
-	if err != nil {
-		return 0, err
-	}
-	kept = gs.group.OfferBatch(values)
-	// Same race check as OfferBatch: a concurrent FinishGroup or Sweep
-	// eviction turns the offer into a silent no-op.
-	if gs.group.Finished() {
-		return kept, fmt.Errorf("hub: group %q: finished while offering: %w", id, ErrStreamNotFound)
-	}
-	gs.lastActive.Store(h.clock().UnixNano())
-	sh.groupTicks.Add(int64(len(values)))
-	sh.groupKept.Add(int64(kept))
-	return kept, nil
-}
-
-// GroupSnapshot returns the group's live comparison without disturbing
-// it.
-func (h *Hub) GroupSnapshot(id string) (sampling.Comparison, error) {
-	_, gs, err := h.getGroup(id)
-	if err != nil {
-		return sampling.Comparison{}, err
-	}
-	return gs.group.Snapshot(), nil
+	eng := e.ent.(*sampling.Engine)
+	tail, err := eng.Finish()
+	sh.kept[kindStream].Add(int64(len(tail)))
+	return tail, eng.Snapshot(), err
 }
 
 // FinishGroup ends a group: every member is finalized, the per-member
@@ -345,31 +345,30 @@ func (h *Hub) GroupSnapshot(id string) (sampling.Comparison, error) {
 // block removal; they come back joined and stay visible in the member
 // summaries.
 func (h *Hub) FinishGroup(id string) ([][]sampling.Sample, sampling.Comparison, error) {
-	sh := h.shardOf(id)
-	sh.mu.Lock()
-	gs := sh.groups[id]
-	delete(sh.groups, id)
-	sh.mu.Unlock()
-	if gs == nil {
-		return nil, sampling.Comparison{}, fmt.Errorf("hub: group %q: %w", id, ErrStreamNotFound)
+	sh, e, err := h.remove(id, kindGroup)
+	if err != nil {
+		return nil, sampling.Comparison{}, err
 	}
-	tails, err := gs.group.Finish()
+	grp := e.ent.(*sampling.Group)
+	tails, err := grp.Finish()
 	var n int64
 	for _, tail := range tails {
 		n += int64(len(tail))
 	}
-	sh.groupKept.Add(n)
-	return tails, gs.group.Snapshot(), err
+	sh.kept[kindGroup].Add(n)
+	return tails, grp.Snapshot(), err
 }
 
-// ListGroups returns the ids of every live group, sorted.
-func (h *Hub) ListGroups() []string {
+// ids returns the ids of every live kind-k entry, sorted.
+func (h *Hub) ids(k kind) []string {
 	var out []string
 	for i := range h.shards {
 		sh := &h.shards[i]
 		sh.mu.RLock()
-		for id := range sh.groups {
-			out = append(out, id)
+		for id, e := range sh.entries {
+			if e.kind == k {
+				out = append(out, id)
+			}
 		}
 		sh.mu.RUnlock()
 	}
@@ -378,34 +377,13 @@ func (h *Hub) ListGroups() []string {
 }
 
 // List returns the ids of every live stream, sorted.
-func (h *Hub) List() []string {
-	var out []string
-	for i := range h.shards {
-		sh := &h.shards[i]
-		sh.mu.RLock()
-		for id := range sh.streams {
-			out = append(out, id)
-		}
-		sh.mu.RUnlock()
-	}
-	sort.Strings(out)
-	return out
-}
+func (h *Hub) List() []string { return h.ids(kindStream) }
 
-// Len returns the number of live streams.
-func (h *Hub) Len() int {
-	n := 0
-	for i := range h.shards {
-		sh := &h.shards[i]
-		sh.mu.RLock()
-		n += len(sh.streams)
-		sh.mu.RUnlock()
-	}
-	return n
-}
+// ListGroups returns the ids of every live group, sorted.
+func (h *Hub) ListGroups() []string { return h.ids(kindGroup) }
 
 // Sweep evicts every stream and group idle for longer than the hub's
-// TTL and returns how many it removed. Evicted engines are finalized
+// TTL and returns how many it removed. Evicted entities are finalized
 // (their end-of-stream samples are dropped — nobody is listening). With
 // no TTL configured Sweep is a no-op; a service calls it on a timer.
 func (h *Hub) Sweep() int {
@@ -413,29 +391,19 @@ func (h *Hub) Sweep() int {
 		return 0
 	}
 	cutoff := h.clock().Add(-h.ttl).UnixNano()
-	type deadStream struct {
+	type victim struct {
 		id string
-		st *stream
+		e  *entry
 	}
-	type deadGroup struct {
-		id string
-		gs *groupStream
-	}
-	var dead []deadStream
-	var deadGroups []deadGroup
+	var dead []victim
 	for i := range h.shards {
 		sh := &h.shards[i]
 		sh.mu.Lock()
-		for id, st := range sh.streams {
-			if st.lastActive.Load() < cutoff {
-				delete(sh.streams, id)
-				dead = append(dead, deadStream{id, st})
-			}
-		}
-		for id, gs := range sh.groups {
-			if gs.lastActive.Load() < cutoff {
-				delete(sh.groups, id)
-				deadGroups = append(deadGroups, deadGroup{id, gs})
+		for id, e := range sh.entries {
+			if e.lastActive.Load() < cutoff {
+				delete(sh.entries, id)
+				sh.live[e.kind]--
+				dead = append(dead, victim{id, e})
 			}
 		}
 		sh.mu.Unlock()
@@ -444,22 +412,22 @@ func (h *Hub) Sweep() int {
 	// Finish can do O(stream) work (simple random sampling drains its
 	// buffer) and must not stall unrelated streams of the same shard.
 	// The hook runs first — it is the last chance to capture the
-	// engine's state before Finish closes it.
+	// entity's state before Finish closes it.
 	for _, d := range dead {
+		ev := Eviction{ID: d.id}
+		ev.Engine, _ = d.e.ent.(*sampling.Engine)
+		ev.Group, _ = d.e.ent.(*sampling.Group)
 		if h.evictHook != nil {
-			h.evictHook(Eviction{ID: d.id, Engine: d.st.engine})
+			h.evictHook(ev)
 		}
-		d.st.engine.Finish()
-	}
-	for _, d := range deadGroups {
-		if h.evictHook != nil {
-			h.evictHook(Eviction{ID: d.id, Group: d.gs.group})
+		if ev.Engine != nil {
+			ev.Engine.Finish()
+		} else {
+			ev.Group.Finish()
 		}
-		d.gs.group.Finish()
+		h.evicted[d.e.kind].Add(1)
 	}
-	h.evicted.Add(int64(len(dead)))
-	h.groupsEvicted.Add(int64(len(deadGroups)))
-	return len(dead) + len(deadGroups)
+	return len(dead)
 }
 
 // Stats is the hub's aggregate state, shaped for metrics scraping:
@@ -511,8 +479,10 @@ func (h *Hub) Hurst() HurstStats {
 		sh := &h.shards[i]
 		sh.mu.RLock()
 		engines = engines[:0]
-		for _, s := range sh.streams {
-			engines = append(engines, s.engine)
+		for _, e := range sh.entries {
+			if eng, ok := e.ent.(*sampling.Engine); ok {
+				engines = append(engines, eng)
+			}
 		}
 		sh.mu.RUnlock()
 		for _, eng := range engines {
@@ -551,21 +521,21 @@ func (h *Hub) Hurst() HurstStats {
 // the number of streams, so it is safe to scrape at high frequency.
 func (h *Hub) Stats() Stats {
 	s := Stats{
-		Created:       h.created.Load(),
-		Evicted:       h.evicted.Load(),
-		GroupsCreated: h.groupsCreated.Load(),
-		GroupsEvicted: h.groupsEvicted.Load(),
+		Created:       h.created[kindStream].Load(),
+		Evicted:       h.evicted[kindStream].Load(),
+		GroupsCreated: h.created[kindGroup].Load(),
+		GroupsEvicted: h.evicted[kindGroup].Load(),
 		Uptime:        h.clock().Sub(h.start),
 	}
 	for i := range h.shards {
 		sh := &h.shards[i]
-		s.Ticks += sh.ticks.Load()
-		s.Kept += sh.kept.Load()
-		s.GroupTicks += sh.groupTicks.Load()
-		s.GroupKept += sh.groupKept.Load()
+		s.Ticks += sh.ticks[kindStream].Load()
+		s.Kept += sh.kept[kindStream].Load()
+		s.GroupTicks += sh.ticks[kindGroup].Load()
+		s.GroupKept += sh.kept[kindGroup].Load()
 		sh.mu.RLock()
-		s.Streams += len(sh.streams)
-		s.Groups += len(sh.groups)
+		s.Streams += sh.live[kindStream]
+		s.Groups += sh.live[kindGroup]
 		sh.mu.RUnlock()
 	}
 	if sec := s.Uptime.Seconds(); sec > 0 {

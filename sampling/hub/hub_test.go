@@ -6,6 +6,7 @@ import (
 	"math"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -157,8 +158,8 @@ func TestHubCreateErrors(t *testing.T) {
 	if err := h.Create("c", sampling.MustParse("systematic:interval=10,bogus=1")); !errors.As(err, &pe) {
 		t.Errorf("rejected param: got %v, want *ParamError", err)
 	}
-	if h.Len() != 1 {
-		t.Errorf("failed creates leaked streams: %d live", h.Len())
+	if len(h.List()) != 1 {
+		t.Errorf("failed creates leaked streams: %d live", len(h.List()))
 	}
 }
 
@@ -532,7 +533,7 @@ func TestHubGroupLifecycle(t *testing.T) {
 	}
 
 	series := testSeries(0, 600)
-	kept, err := h.OfferGroupBatch("g", series)
+	kept, err := h.OfferBatch("g", series)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -590,31 +591,89 @@ func TestHubGroupLifecycle(t *testing.T) {
 	}
 }
 
-// TestHubGroupNamespace: groups and streams are separate id spaces —
-// the same id can name one of each, and group ops never see streams.
+// TestHubGroupNamespace: streams and groups share one id namespace —
+// an id held by either kind refuses a create of the other, the
+// kind-agnostic operations (OfferBatch, State, Detach) reach both, and
+// the kind-specific views only ever see their own kind.
 func TestHubGroupNamespace(t *testing.T) {
 	h := hub.New()
 	if err := h.Create("x", sampling.MustParse("systematic:interval=2")); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.CreateGroup("x", groupSpecs()); err != nil {
-		t.Errorf("group id colliding with stream id: %v", err)
+	if err := h.CreateGroup("x", groupSpecs()); !errors.Is(err, hub.ErrStreamExists) {
+		t.Errorf("group create over a stream id: got %v, want ErrStreamExists", err)
 	}
-	if _, err := h.GroupSnapshot("ghost"); !errors.Is(err, hub.ErrStreamNotFound) {
-		t.Errorf("snapshot of ghost group: got %v", err)
+	if err := h.CreateGroup("g", groupSpecs()); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := h.OfferGroupBatch("ghost", []float64{1}); !errors.Is(err, hub.ErrStreamNotFound) {
-		t.Errorf("offer to ghost group: got %v", err)
+	if err := h.Create("g", sampling.MustParse("systematic:interval=2")); !errors.Is(err, hub.ErrStreamExists) {
+		t.Errorf("stream create over a group id: got %v, want ErrStreamExists", err)
 	}
-	if _, err := h.Snapshot("ghost"); !errors.Is(err, hub.ErrStreamNotFound) {
-		t.Errorf("stream snapshot must not see groups: got %v", err)
+
+	// One ingest path: the same call feeds either kind.
+	series := testSeries(0, 100)
+	for _, id := range []string{"x", "g"} {
+		if _, err := h.OfferBatch(id, series); err != nil {
+			t.Errorf("OfferBatch(%q): %v", id, err)
+		}
 	}
-	got := h.ListGroups()
-	if len(got) != 1 || got[0] != "x" {
-		t.Errorf("ListGroups = %v, want [x]", got)
+	if sum, err := h.Snapshot("x"); err != nil || sum.Seen != 100 {
+		t.Errorf("stream snapshot: seen=%d err=%v", sum.Seen, err)
+	}
+	if cmp, err := h.GroupSnapshot("g"); err != nil || cmp.Seen != 100 {
+		t.Errorf("group snapshot: seen=%d err=%v", cmp.Seen, err)
+	}
+	if st := h.Stats(); st.Ticks != 100 || st.GroupTicks != 100 || st.Streams != 1 || st.Groups != 1 {
+		t.Errorf("per-kind stats: %+v", st)
+	}
+
+	// The typed views refuse the other kind without disturbing it.
+	if _, err := h.Snapshot("g"); !errors.Is(err, hub.ErrStreamNotFound) {
+		t.Errorf("stream snapshot of a group: got %v", err)
+	}
+	if _, err := h.GroupSnapshot("x"); !errors.Is(err, hub.ErrStreamNotFound) {
+		t.Errorf("group snapshot of a stream: got %v", err)
+	}
+	if _, _, err := h.Finish("g"); !errors.Is(err, hub.ErrStreamNotFound) {
+		t.Errorf("stream finish of a group: got %v", err)
+	}
+	if _, _, err := h.FinishGroup("x"); !errors.Is(err, hub.ErrStreamNotFound) {
+		t.Errorf("group finish of a stream: got %v", err)
 	}
 	if ids := h.List(); len(ids) != 1 || ids[0] != "x" {
 		t.Errorf("List = %v, want [x]", ids)
+	}
+	if ids := h.ListGroups(); len(ids) != 1 || ids[0] != "g" {
+		t.Errorf("ListGroups = %v, want [g]", ids)
+	}
+	if _, err := h.OfferBatch("ghost", []float64{1}); !errors.Is(err, hub.ErrStreamNotFound) {
+		t.Errorf("offer to ghost: got %v", err)
+	}
+	if _, err := h.State("ghost"); !errors.Is(err, hub.ErrStreamNotFound) {
+		t.Errorf("state of ghost: got %v", err)
+	}
+
+	// State and Detach are kind-agnostic; a detached id is free for
+	// either kind.
+	if blob, err := h.State("g"); err != nil || len(blob) == 0 {
+		t.Errorf("group state: %d bytes, %v", len(blob), err)
+	}
+	blob, err := h.Detach("g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := h.RestoreGroupState("g2", blob); err != nil {
+		t.Errorf("detached group blob does not restore: %v", err)
+	}
+	if err := h.Create("g", sampling.MustParse("systematic:interval=2")); err != nil {
+		t.Errorf("detached group id not released: %v", err)
+	}
+	streamBlob, err := h.State("x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := h.RestoreStream("g2", streamBlob); !errors.Is(err, hub.ErrStreamExists) {
+		t.Errorf("stream restore over a group id: got %v, want ErrStreamExists", err)
 	}
 }
 
@@ -629,7 +688,7 @@ func TestHubGroupSweep(t *testing.T) {
 		}
 	}
 	clk.Advance(45 * time.Second)
-	if _, err := h.OfferGroupBatch("busy", []float64{1, 2, 3}); err != nil {
+	if _, err := h.OfferBatch("busy", []float64{1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
 	clk.Advance(30 * time.Second)
@@ -648,7 +707,7 @@ func TestHubGroupSweep(t *testing.T) {
 }
 
 // TestHubGroupOfferRacingFinish mirrors the stream race: once
-// FinishGroup wins, OfferGroupBatch must fail with ErrStreamNotFound
+// FinishGroup wins, OfferBatch must fail with ErrStreamNotFound
 // rather than report success for ticks no engine saw.
 func TestHubGroupOfferRacingFinish(t *testing.T) {
 	h := hub.New()
@@ -659,7 +718,7 @@ func TestHubGroupOfferRacingFinish(t *testing.T) {
 	go func() {
 		var last error
 		for i := 0; i < 100000; i++ {
-			if _, err := h.OfferGroupBatch("g", []float64{1, 2, 3}); err != nil {
+			if _, err := h.OfferBatch("g", []float64{1, 2, 3}); err != nil {
 				last = err
 				break
 			}
@@ -671,5 +730,132 @@ func TestHubGroupOfferRacingFinish(t *testing.T) {
 	}
 	if err := <-done; err != nil && !errors.Is(err, hub.ErrStreamNotFound) {
 		t.Errorf("group offer racing finish: got %v, want ErrStreamNotFound (or the writer finished first)", err)
+	}
+}
+
+// TestHubMixedKindHammer races every lifecycle operation over one shared
+// id pool holding both kinds: goroutines create streams and groups,
+// offer, snapshot, finish, detach, sweep and checkpoint the same ids
+// concurrently. Run under -race it is the data-race check of the one
+// entry table; afterwards the per-kind counters must agree with the
+// table, no id may be listed as both kinds, and the final checkpoint
+// must restore to the same id sets.
+func TestHubMixedKindHammer(t *testing.T) {
+	const (
+		numGoroutines = 16
+		opsPerRoutine = 300
+		poolSize      = 24
+	)
+	clk := &fakeClock{now: time.Unix(1000, 0)}
+	h := hub.New(hub.WithClock(clk.Now), hub.WithIdleTTL(time.Minute), hub.WithShards(4))
+	stream := sampling.MustParse("systematic:interval=3")
+	members := []sampling.Spec{stream, sampling.MustParse("bernoulli:rate=0.3")}
+	batch := testSeries(0, 64)
+
+	var created, groupsCreated, removed atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(numGoroutines)
+	for g := 0; g < numGoroutines; g++ {
+		go func(g int) {
+			defer wg.Done()
+			rng := dist.NewRand(uint64(g))
+			// Only the two lifecycle misses are expected under races.
+			expect := func(op string, err error) bool {
+				if err != nil && !errors.Is(err, hub.ErrStreamExists) && !errors.Is(err, hub.ErrStreamNotFound) {
+					t.Errorf("goroutine %d %s: %v", g, op, err)
+					return false
+				}
+				return err == nil
+			}
+			for i := 0; i < opsPerRoutine; i++ {
+				id := fmt.Sprintf("id-%02d", rng.IntN(poolSize))
+				switch rng.IntN(10) {
+				case 0:
+					if expect("create", h.Create(id, stream)) {
+						created.Add(1)
+					}
+				case 1:
+					if expect("create group", h.CreateGroup(id, members)) {
+						groupsCreated.Add(1)
+					}
+				case 2, 3, 4:
+					_, err := h.OfferBatch(id, batch)
+					expect("offer", err)
+				case 5:
+					_, err := h.Snapshot(id)
+					expect("snapshot", err)
+					_, err = h.GroupSnapshot(id)
+					expect("group snapshot", err)
+				case 6:
+					if blob, err := h.Detach(id); expect("detach", err) {
+						if len(blob) == 0 {
+							t.Errorf("goroutine %d: detach of %s returned an empty blob", g, id)
+						}
+						removed.Add(1)
+					}
+				case 7:
+					_, _, err := h.Finish(id)
+					if expect("finish", err) {
+						removed.Add(1)
+					}
+					_, _, err = h.FinishGroup(id)
+					if expect("finish group", err) {
+						removed.Add(1)
+					}
+				case 8:
+					clk.Advance(5 * time.Second)
+					h.Sweep()
+				default:
+					ck, err := h.Checkpoint()
+					if err != nil {
+						t.Errorf("goroutine %d checkpoint: %v", g, err)
+						continue
+					}
+					ids := make(map[string]bool)
+					for _, rec := range ck.Streams {
+						ids[rec.ID] = true
+					}
+					for _, rec := range ck.Groups {
+						if ids[rec.ID] {
+							t.Errorf("checkpoint holds %s as both a stream and a group", rec.ID)
+						}
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+
+	st := h.Stats()
+	streams, groups := h.List(), h.ListGroups()
+	t.Logf("created %d streams and %d groups, evicted %d/%d, %d finished or detached, %d/%d live",
+		st.Created, st.GroupsCreated, st.Evicted, st.GroupsEvicted, removed.Load(), len(streams), len(groups))
+	if st.Streams != len(streams) || st.Groups != len(groups) {
+		t.Errorf("live counters %d/%d disagree with the table %d/%d", st.Streams, st.Groups, len(streams), len(groups))
+	}
+	if st.Created != created.Load() || st.GroupsCreated != groupsCreated.Load() {
+		t.Errorf("created counters %d/%d, want %d/%d", st.Created, st.GroupsCreated, created.Load(), groupsCreated.Load())
+	}
+	if live := created.Load() + groupsCreated.Load() - removed.Load() - st.Evicted - st.GroupsEvicted; live != int64(len(streams)+len(groups)) {
+		t.Errorf("%d entries live, the lifecycle accounts for %d", len(streams)+len(groups), live)
+	}
+	for _, id := range streams {
+		if i := sort.SearchStrings(groups, id); i < len(groups) && groups[i] == id {
+			t.Errorf("%s listed as both a stream and a group", id)
+		}
+	}
+	ck, err := h.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	back := hub.New()
+	if err := back.Restore(ck); err != nil {
+		t.Fatal(err)
+	}
+	if got := back.List(); fmt.Sprint(got) != fmt.Sprint(streams) {
+		t.Errorf("restored streams %v, want %v", got, streams)
+	}
+	if got := back.ListGroups(); fmt.Sprint(got) != fmt.Sprint(groups) {
+		t.Errorf("restored groups %v, want %v", got, groups)
 	}
 }

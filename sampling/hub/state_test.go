@@ -3,6 +3,7 @@ package hub_test
 import (
 	"errors"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -135,17 +136,17 @@ func TestDetachRestoreHandoff(t *testing.T) {
 	if err := src.CreateGroup("gflow", specs); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := src.OfferGroupBatch("gflow", f[:cut]); err != nil {
+	if _, err := src.OfferBatch("gflow", f[:cut]); err != nil {
 		t.Fatal(err)
 	}
-	gblob, err := src.DetachGroup("gflow")
+	gblob, err := src.Detach("gflow")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := dst.RestoreGroupState("gflow", gblob); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := dst.OfferGroupBatch("gflow", f[cut:]); err != nil {
+	if _, err := dst.OfferBatch("gflow", f[cut:]); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -185,6 +186,56 @@ func TestRestoreRejectsCollisionsAtomically(t *testing.T) {
 	}
 	if got := fresh.List(); len(got) != 0 {
 		t.Fatalf("failed Restore left streams behind: %v", got)
+	}
+}
+
+// TestRestoreRejectsSharedID: a checkpoint cut by a build whose
+// streams and groups lived in separate id spaces can hold a stream and
+// a group under the same id. Restoring it into the one namespace must
+// fail with ErrStreamExists naming that id, and insert nothing — not
+// the other records, not the carried totals.
+func TestRestoreRejectsSharedID(t *testing.T) {
+	clk := &fakeClock{now: time.Unix(1000, 0)}
+	streams := hub.New(hub.WithClock(clk.Now))
+	groups := hub.New(hub.WithClock(clk.Now))
+	for _, id := range []string{"a", "both"} {
+		if err := streams.Create(id, sampling.MustParse("systematic:interval=4")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := groups.CreateGroup("both", []sampling.Spec{sampling.MustParse("systematic:interval=4")}); err != nil {
+		t.Fatal(err)
+	}
+	sck, err := streams.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	gck, err := groups.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := &persist.Checkpoint{
+		TakenAtUnixNano: sck.TakenAtUnixNano,
+		Totals:          persist.Totals{Created: 2, GroupsCreated: 1, Ticks: 7},
+		Streams:         sck.Streams,
+		Groups:          gck.Groups,
+	}
+	// The container itself carries both records; only the hub refuses.
+	ck, err := persist.Decode(old.Encode())
+	if err != nil {
+		t.Fatalf("container with a shared id does not round-trip: %v", err)
+	}
+
+	dst := hub.New(hub.WithClock(clk.Now))
+	err = dst.Restore(ck)
+	if !errors.Is(err, hub.ErrStreamExists) || !strings.Contains(err.Error(), `"both"`) {
+		t.Fatalf("Restore of a shared id: %v, want ErrStreamExists naming \"both\"", err)
+	}
+	if got, gg := dst.List(), dst.ListGroups(); len(got) != 0 || len(gg) != 0 {
+		t.Fatalf("failed Restore left entries behind: streams %v, groups %v", got, gg)
+	}
+	if st := dst.Stats(); st.Created != 0 || st.GroupsCreated != 0 || st.Ticks != 0 {
+		t.Fatalf("failed Restore folded totals in: %+v", st)
 	}
 }
 

@@ -72,7 +72,7 @@ func buildHub(t testing.TB, ticks int) *hub.Hub {
 	if err := h.CreateGroup("g00", specs, sampling.WithEstimator("wavelet")); err != nil {
 		t.Fatalf("create group: %v", err)
 	}
-	if _, err := h.OfferGroupBatch("g00", f); err != nil {
+	if _, err := h.OfferBatch("g00", f); err != nil {
 		t.Fatalf("offer group: %v", err)
 	}
 	return h
@@ -137,11 +137,11 @@ func TestCheckpointFileRoundTrip(t *testing.T) {
 			t.Fatalf("stream %s: summaries diverge: %+v vs %+v", id, sa, sb)
 		}
 	}
-	ga, err := live.OfferGroupBatch("g00", suffix)
+	ga, err := live.OfferBatch("g00", suffix)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gb, err := restored.OfferGroupBatch("g00", suffix)
+	gb, err := restored.OfferBatch("g00", suffix)
 	if err != nil {
 		t.Fatal(err)
 	}
